@@ -46,6 +46,11 @@
      dune exec bench/main.exe -- --shards S        (shard count for
                                                     --shard-bench;
                                                     default 4)
+     dune exec bench/main.exe -- --lp-json PATH    (LP solve statistics of
+                                                    the cold polynomial
+                                                    stage per function x
+                                                    scheme, horner and
+                                                    estrin-fma, as JSON)
      dune exec bench/main.exe -- --cache-dir DIR   (relocate the store)
      dune exec bench/main.exe -- --cache-stats     (report artifact store
                                                     hit/miss/corrupt
@@ -491,6 +496,128 @@ let write_gen_json path ~jobs rows =
       Printf.fprintf oc "  ]\n");
   Printf.eprintf "wrote %s (%d generation timing rows)\n%!" path n
 
+(* ---------- LP engine: solve statistics per function x scheme ---------- *)
+
+(* Cold polynomial stage of every function x scheme against a fresh
+   store, with the LP's Debug events captured: every solve emits one
+   record ([lp.solved], [lp.infeasible] or [lp.unbounded]) carrying its
+   float/exact pivot split, certificate size and seconds.  The pivot
+   counts, solve counts and certificate bits are exact, deterministic
+   work counters; the seconds are wall clock. *)
+type lp_row = {
+  l_func : Oracle.func;
+  l_scheme : Polyeval.scheme;
+  l_solves : int;
+  l_float_pivots : int;
+  l_exact_pivots : int;
+  l_max_cert_bits : int;
+  l_max_rows : int;
+  l_lp_s : float;
+  l_poly_s : float;
+  l_ok : bool;
+}
+
+let lp_events = [ "lp.solved"; "lp.infeasible"; "lp.unbounded" ]
+
+let measure_lp funcs schemes =
+  let saved = Cache.dir () in
+  let tmp =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rlibm-bench-lp-%d" (Unix.getpid ()))
+  in
+  (try Sys.mkdir tmp 0o755 with Sys_error _ -> ());
+  Cache.set_dir tmp;
+  Fun.protect
+    ~finally:(fun () -> Cache.set_dir saved)
+    (fun () ->
+      List.concat_map
+        (fun func ->
+          let cfg = Rlibm.Config.mini_for func in
+          (* Stages 1-3 are shared by the schemes and make no LP solve. *)
+          ignore
+            (Pipeline.constraints_stage ~cfg func
+              : Rlibm.Constraints.build_result);
+          List.map
+            (fun scheme ->
+              let sink, drain = Diag.memory_sink ~min_level:Diag.Debug () in
+              let t0 = Unix.gettimeofday () in
+              let r =
+                Diag.with_sinks [ sink ] (fun () ->
+                    Pipeline.generate ~cfg ~scheme func)
+              in
+              let poly_s = Unix.gettimeofday () -. t0 in
+              let solves =
+                List.filter
+                  (fun (e : Diag.ev) -> List.mem e.Diag.ev_name lp_events)
+                  (drain ())
+              in
+              let fold name f init =
+                List.fold_left
+                  (fun acc (e : Diag.ev) ->
+                    match List.assoc_opt name e.Diag.ev_fields with
+                    | Some v -> f acc v
+                    | None -> acc)
+                  init solves
+              in
+              let ints name f =
+                fold name
+                  (fun acc -> function Diag.Int v -> f acc v | _ -> acc)
+                  0
+              in
+              let row =
+                {
+                  l_func = func;
+                  l_scheme = scheme;
+                  l_solves = List.length solves;
+                  l_float_pivots = ints "float_pivots" ( + );
+                  l_exact_pivots = ints "exact_pivots" ( + );
+                  l_max_cert_bits = ints "maxbits" max;
+                  l_max_rows = ints "rows" max;
+                  l_lp_s =
+                    fold "seconds"
+                      (fun acc -> function Diag.Float v -> acc +. v | _ -> acc)
+                      0.0;
+                  l_poly_s = poly_s;
+                  l_ok =
+                    Result.is_ok r
+                    && fold "certified"
+                         (fun ok v -> ok && v = Diag.Bool true)
+                         true;
+                }
+              in
+              Printf.eprintf
+                "%-6s %-10s %4d solves  %6d float + %5d exact pivots  \
+                 max %4d cert bits  LP %7.3fs of %7.3fs  %s\n%!"
+                (Oracle.name func) (Polyeval.scheme_name scheme) row.l_solves
+                row.l_float_pivots row.l_exact_pivots row.l_max_cert_bits
+                row.l_lp_s row.l_poly_s
+                (if row.l_ok then "ok" else "FAILED");
+              row)
+            schemes)
+        funcs)
+
+let write_lp_json path ~jobs rows =
+  let n = List.length rows in
+  Bench_json.write_file path ~kind:"lp" ~jobs
+    ~input_bits:(Softfp.width Rlibm.Config.mini_tin)
+    (fun oc ->
+      Printf.fprintf oc "  \"results\": [\n";
+      List.iteri
+        (fun i r ->
+          Printf.fprintf oc
+            "    {\"func\": %S, \"scheme\": %S, \"solves\": %d, \
+             \"float_pivots\": %d, \"exact_pivots\": %d, \
+             \"max_cert_bits\": %d, \"max_rows\": %d, \"lp_s\": %.4f, \
+             \"poly_s\": %.4f, \"ok\": %b}%s\n"
+            (Oracle.name r.l_func) (Polyeval.scheme_name r.l_scheme) r.l_solves
+            r.l_float_pivots r.l_exact_pivots r.l_max_cert_bits r.l_max_rows
+            r.l_lp_s r.l_poly_s r.l_ok
+            (if i = n - 1 then "" else ","))
+        rows;
+      Printf.fprintf oc "  ]\n");
+  Printf.eprintf "wrote %s (%d LP rows)\n%!" path n
+
 (* ---------- oracle sharding: cold vs sharded vs resumed ---------- *)
 
 (* Wall time of the oracle stage alone, per function, each against a
@@ -802,6 +929,7 @@ let () =
   Cli.set_cache_dir (Cli.opt_value [ "--cache-dir" ] args);
   let json_path = Cli.opt_value [ "--json" ] args in
   let gen_json_path = Cli.opt_value [ "--gen-json" ] args in
+  let lp_json_path = Cli.opt_value [ "--lp-json" ] args in
   let quick = has "--quick" in
   let serve_bench = has "--serve-bench" in
   let serve_json_path = Cli.opt_value [ "--serve-json" ] args in
@@ -832,7 +960,8 @@ let () =
     not
       (has "--table1" || has "--table2" || has "--post-process"
      || has "--correctness" || has "--cost" || serve_bench || shard_bench
-     || shard_json_path <> None || gen_json_path <> None)
+     || shard_json_path <> None || gen_json_path <> None
+     || lp_json_path <> None)
   in
   Printf.eprintf
     "rlibm-fastpoly benchmark harness (%d functions x %d schemes, %d-bit \
@@ -879,5 +1008,11 @@ let () =
       prerr_endline
         "== staged generation: cold vs warm store (fresh directory) ==";
       write_gen_json path ~jobs (measure_generation funcs)
+  | None -> ());
+  (match lp_json_path with
+  | Some path ->
+      prerr_endline "== LP engine: cold polynomial stage (fresh directory) ==";
+      write_lp_json path ~jobs
+        (measure_lp funcs [ Polyeval.Horner; Polyeval.EstrinFma ])
   | None -> ());
   Cli.report_cache_stats (has "--cache-stats")

@@ -1,235 +1,990 @@
-(* Exact two-phase primal simplex over rationals, plus the RLibm-style
-   constraint-generation driver for interval systems. *)
+(* Exact linear programming over free variables — a small-basis simplex
+   that pivots in doubles and certifies its verdict in exact integer
+   arithmetic — plus the RLibm-style constraint-generation driver for
+   interval systems. *)
 
 module R = Rat
+module Z = Bigint
 
 type status = Optimal of Rat.t array * Rat.t | Infeasible | Unbounded
 
-(* ---------- dense tableau simplex ----------
-
-   Standard form used internally:
-
-     max  c . y      s.t.  T y = rhs,  y >= 0
-
-   Free problem variables are split as y = x+ - x-.  Each inequality gets a
-   slack; rows with negative rhs are negated and get an artificial for
-   phase 1.  Bland's rule on both the entering and leaving choices makes
-   cycling impossible, so the solver always terminates.
-
-   [width] is the total number of structural columns (the rhs lives at
-   index [width]); [scan] limits which columns may enter the basis — after
-   phase 1 it excludes the artificial columns so they can never return. *)
-
-type tableau = {
-  width : int;
-  mutable scan : int;
+type stats = {
+  float_pivots : int;
+  exact_pivots : int;
+  certified : bool;
+  certificate : string;
   rows : int;
-  t : R.t array array; (* rows x (width + 1) *)
-  basis : int array;   (* basis.(i) = column basic in row i *)
+  seconds : float;
+  cert_bits : int;
 }
 
-(* Pivot the constraint rows and the maintained objective (z) row. *)
-let pivot tb zrow ~row ~col =
-  let trow = tb.t.(row) in
-  let inv = R.inv trow.(col) in
-  for j = 0 to tb.width do
-    trow.(j) <- R.mul trow.(j) inv
-  done;
-  let eliminate (ti : R.t array) =
-    let f = ti.(col) in
-    if not (R.is_zero f) then
-      for j = 0 to tb.width do
-        ti.(j) <- R.sub ti.(j) (R.mul f trow.(j))
-      done
+let pivot_count = Atomic.make 0
+
+(* ---------- exact integer kernels ---------- *)
+
+(* Scale a vector of rationals by the positive lcm of its denominators. *)
+let lcm_dens (v : R.t array) =
+  Array.fold_left
+    (fun l q ->
+      let d = R.den q in
+      if Z.is_zero (Z.rem l d) then l else Z.div (Z.mul l d) (Z.gcd l d))
+    Z.one v
+
+let to_integers (v : R.t array) =
+  let l = lcm_dens v in
+  Array.map (fun q -> Z.mul (R.num q) (Z.div l (R.den q))) v
+
+let dot_z a x =
+  let acc = ref Z.zero in
+  Array.iteri
+    (fun j aj -> if not (Z.is_zero aj) then acc := Z.add !acc (Z.mul aj x.(j)))
+    a;
+  !acc
+
+(* Bareiss fraction-free elimination of the p x p integer system
+   [mat] X = rhs_k for every right-hand side in [rhs].  Returns the
+   positive common denominator D = |det mat| and the integer numerators
+   X_k = D * mat^-1 rhs_k, or [None] if [mat] is singular. *)
+let bareiss_solve (mat : Z.t array array) (rhs : Z.t array list) =
+  let p = Array.length mat in
+  let a =
+    Array.init p (fun i ->
+        Array.append (Array.copy mat.(i))
+          (Array.of_list (List.map (fun r -> r.(i)) rhs)))
   in
-  for i = 0 to tb.rows - 1 do
-    if i <> row then eliminate tb.t.(i)
-  done;
-  eliminate zrow;
-  tb.basis.(row) <- col
-
-(* Build the z-row (reduced costs, z_j - c_j) for objective [c]: one
-   O(rows * width) pass per phase; pivots keep it current afterwards. *)
-let make_zrow tb c =
-  let zrow = Array.make (tb.width + 1) R.zero in
-  for j = 0 to tb.width do
-    let z = ref R.zero in
-    for i = 0 to tb.rows - 1 do
-      let cb = c.(tb.basis.(i)) in
-      if not (R.is_zero cb) then z := R.add !z (R.mul cb tb.t.(i).(j))
-    done;
-    zrow.(j) <- (if j = tb.width then !z else R.sub !z c.(j))
-  done;
-  zrow
-
-let pivot_count = ref 0
-
-(* One simplex phase: maximize c.y from the current basic feasible point.
-   Pricing is Dantzig (most negative reduced cost) for speed, switching to
-   Bland's rule after a budget of pivots so cycling cannot prevent
-   termination. *)
-let run_phase tb zrow =
-  let dantzig_budget = ref (64 + (8 * tb.rows)) in
-  let rec iterate () =
-    let entering =
-      if !dantzig_budget > 0 then begin
-        decr dantzig_budget;
-        let best = ref None in
-        for j = 0 to tb.scan - 1 do
-          if R.sign zrow.(j) < 0 then
-            match !best with
-            | Some (v, _) when R.compare zrow.(j) v >= 0 -> ()
-            | _ -> best := Some (zrow.(j), j)
-        done;
-        Option.map snd !best
-      end
-      else begin
-        (* Bland: smallest column index with negative reduced cost. *)
-        let rec find j =
-          if j >= tb.scan then None
-          else if R.sign zrow.(j) < 0 then Some j
-          else find (j + 1)
-        in
-        find 0
-      end
+  let w = p + List.length rhs in
+  let prev = ref Z.one in
+  let rec eliminate k =
+    if k >= p then true
+    else
+      let rec find r =
+        if r >= p then None
+        else if Z.is_zero a.(r).(k) then find (r + 1)
+        else Some r
+      in
+      match find k with
+      | None -> false
+      | Some r ->
+          let t = a.(r) in
+          a.(r) <- a.(k);
+          a.(k) <- t;
+          let piv = a.(k).(k) in
+          for i = k + 1 to p - 1 do
+            let f = a.(i).(k) in
+            for j = k + 1 to w - 1 do
+              a.(i).(j) <-
+                Z.div (Z.sub (Z.mul piv a.(i).(j)) (Z.mul f a.(k).(j))) !prev
+            done;
+            a.(i).(k) <- Z.zero
+          done;
+          prev := piv;
+          eliminate (k + 1)
+  in
+  if not (eliminate 0) then None
+  else begin
+    (* The last Bareiss pivot is the determinant (up to the row swaps'
+       sign); back substitution with it stays in the integers. *)
+    let det = if p = 0 then Z.one else a.(p - 1).(p - 1) in
+    let flip = Z.sign det < 0 in
+    let sols =
+      List.mapi
+        (fun c _ ->
+          let x = Array.make p Z.zero in
+          for j = p - 1 downto 0 do
+            let acc = ref (Z.mul det a.(j).(p + c)) in
+            for l = j + 1 to p - 1 do
+              acc := Z.sub !acc (Z.mul a.(j).(l) x.(l))
+            done;
+            x.(j) <- Z.div !acc a.(j).(j)
+          done;
+          if flip then Array.map Z.neg x else x)
+        rhs
     in
-    match entering with
-    | None -> `Optimal
-    | Some col -> (
-        (* Ratio test; Bland tie-break on the leaving basis variable. *)
-        let best = ref None in
-        for i = 0 to tb.rows - 1 do
-          let a = tb.t.(i).(col) in
-          if R.sign a > 0 then begin
-            let ratio = R.div tb.t.(i).(tb.width) a in
-            match !best with
-            | None -> best := Some (ratio, i)
-            | Some (r, i') ->
-                let cmp = R.compare ratio r in
-                if cmp < 0 || (cmp = 0 && tb.basis.(i) < tb.basis.(i')) then
-                  best := Some (ratio, i)
-          end
+    Some (Z.abs det, sols)
+  end
+
+let transpose mat =
+  let p = Array.length mat in
+  Array.init p (fun i -> Array.init p (fun j -> mat.(j).(i)))
+
+(* ---------- certificates ----------
+
+   The problem in integer form: row i of [az]/[bz] is a_i, b_i scaled by
+   a positive integer, [cz] is c scaled likewise.  Each check recomputes
+   its claim from these rows alone. *)
+
+type exact_lp = {
+  n : int;
+  az : Z.t array array;
+  bz : Z.t array;
+  cz : Z.t array;
+}
+
+(* x = xs / d satisfies every row. *)
+let primal_feasible lp (d, xs) =
+  let ok = ref true in
+  Array.iteri
+    (fun i a ->
+      if !ok && Z.compare (dot_z a xs) (Z.mul lp.bz.(i) d) > 0 then ok := false)
+    lp.az;
+  !ok
+
+(* Row combination y^T [A | b] of non-negative multipliers [y]. *)
+let combine lp y =
+  let v = Array.make lp.n Z.zero and rhs = ref Z.zero in
+  let nonneg = ref true in
+  Array.iteri
+    (fun i yi ->
+      if Z.sign yi < 0 then nonneg := false
+      else if not (Z.is_zero yi) then begin
+        Array.iteri
+          (fun j aij -> v.(j) <- Z.add v.(j) (Z.mul yi aij))
+          lp.az.(i);
+        rhs := Z.add !rhs (Z.mul yi lp.bz.(i))
+      end)
+    y;
+  (!nonneg, v, !rhs)
+
+(* Optimality: x feasible, y >= 0 with y^T A = dy * c and y.b = dy * c.x,
+   so weak duality makes c.x the maximum. *)
+let check_optimal lp (d, xs) (dy, y) =
+  primal_feasible lp (d, xs)
+  &&
+  let nonneg, v, yb = combine lp y in
+  nonneg
+  && Array.for_all2 (fun vj cj -> Z.equal vj (Z.mul dy cj)) v lp.cz
+  && Z.equal (Z.mul yb d) (Z.mul dy (dot_z lp.cz xs))
+
+(* Farkas: y >= 0, y^T A = 0 and y.b < 0 — no x satisfies every row. *)
+let check_farkas lp y =
+  let nonneg, v, yb = combine lp y in
+  nonneg && Array.for_all Z.is_zero v && Z.sign yb < 0
+
+(* Unboundedness: a feasible x and a ray r with A r <= 0 and c.r > 0. *)
+let check_ray lp x ray =
+  primal_feasible lp x
+  && Array.for_all (fun a -> Z.sign (dot_z a ray) <= 0) lp.az
+  && Z.sign (dot_z lp.cz ray) > 0
+
+let max_bits zs =
+  List.fold_left (fun acc z -> Stdlib.max acc (Z.numbits z)) 0 zs
+
+(* ---------- doubles with error bounds ----------
+
+   Every float the pivoting decides on carries a bound on its distance
+   from the exact value.  A decision whose outcome the bound cannot
+   settle (a sign, a comparison) is taken on the exact value instead, so
+   the float pivots make exactly the choices exact pivots would. *)
+
+type ap = { v : float; e : float }
+
+let eps = epsilon_float
+
+let ap_exact v = { v; e = 0.0 }
+
+(* The double nearest a rational is within half an ulp of it (or of the
+   smallest subnormal, on underflow). *)
+let ap_of_rat q =
+  if R.is_zero q then ap_exact 0.0
+  else
+    let v = R.to_float q in
+    { v; e = Float.max (Float.abs v *. eps) 5e-324 }
+
+let ap_add a b =
+  let v = a.v +. b.v in
+  { v; e = a.e +. b.e +. (Float.abs v *. eps) }
+
+let ap_sub a b = ap_add a { b with v = -.b.v }
+let ap_neg a = { a with v = -.a.v }
+
+(* Products of error terms: an exactly zero factor contributes nothing,
+   even against an unbounded error. *)
+let ( *! ) x y = if x = 0.0 || y = 0.0 then 0.0 else x *. y
+
+let ap_mul a b =
+  let v = a.v *. b.v in
+  {
+    v;
+    e =
+      (Float.abs a.v *! b.e) +. (Float.abs b.v *! a.e) +. (a.e *! b.e)
+      +. (Float.abs v *. eps);
+  }
+
+(* [Some sign] when the bound settles it (a safety factor of 2 covers
+   the rounding of the bound itself), [None] otherwise. *)
+let ap_sign a =
+  if a.e = 0.0 then Some (Float.compare a.v 0.0)
+  else if a.v > 2.0 *. a.e then Some 1
+  else if a.v < -2.0 *. a.e then Some (-1)
+  else None
+
+(* Gauss-Jordan inverse with partial pivoting and a uniform bound on the
+   error of its entries, from the residual I - G X (Newton-Schulz style
+   bound: |X - G^-1| <= |X| r / (1 - r)) plus the rounding of G's own
+   entries.  [None] when the bound is useless. *)
+let invert_float (g : float array array) =
+  let p = Array.length g in
+  let a = Array.map Array.copy g in
+  let inv =
+    Array.init p (fun i -> Array.init p (fun j -> if i = j then 1.0 else 0.0))
+  in
+  let ok = ref true in
+  for k = 0 to p - 1 do
+    if !ok then begin
+      let best = ref k in
+      for r = k + 1 to p - 1 do
+        if Float.abs a.(r).(k) > Float.abs a.(!best).(k) then best := r
+      done;
+      if a.(!best).(k) = 0.0 then ok := false
+      else begin
+        let swap (m : float array array) =
+          let t = m.(k) in
+          m.(k) <- m.(!best);
+          m.(!best) <- t
+        in
+        swap a;
+        swap inv;
+        let piv = a.(k).(k) in
+        for j = 0 to p - 1 do
+          a.(k).(j) <- a.(k).(j) /. piv;
+          inv.(k).(j) <- inv.(k).(j) /. piv
         done;
-        match !best with
-        | None -> `Unbounded
-        | Some (_, row) ->
-            incr pivot_count;
-            pivot tb zrow ~row ~col;
-            iterate ())
+        for r = 0 to p - 1 do
+          if r <> k then begin
+            let f = a.(r).(k) in
+            if f <> 0.0 then
+              for j = 0 to p - 1 do
+                a.(r).(j) <- a.(r).(j) -. (f *. a.(k).(j));
+                inv.(r).(j) <- inv.(r).(j) -. (f *. inv.(k).(j))
+              done
+          end
+        done
+      end
+    end
+  done;
+  if not !ok then None
+  else begin
+    let norm m =
+      Array.fold_left
+        (fun acc row ->
+          Float.max acc (Array.fold_left (fun s v -> s +. Float.abs v) 0.0 row))
+        0.0 m
+    in
+    let ng = norm g and nx = norm inv in
+    let resid =
+      Array.init p (fun i ->
+          Array.init p (fun j ->
+              let s = ref (if i = j then 1.0 else 0.0) in
+              for l = 0 to p - 1 do
+                s := !s -. (g.(i).(l) *. inv.(l).(j))
+              done;
+              !s))
+    in
+    let r = norm resid +. (4.0 *. float_of_int (p + 1) *. eps *. ng *. nx) in
+    if not (r < 0.25 && Float.is_finite r) then None
+    else
+      let e = (nx *. r /. (1.0 -. r)) +. (4.0 *. nx *. nx *. ng *. eps) in
+      Some (inv, 4.0 *. e)
+  end
+
+(* ---------- two-phase simplex on a small basis ----------
+
+   The pivot rule is the textbook dense two-phase tableau's: standard
+   form  A x+ - A x- + s - art = b  with an artificial for each row of
+   negative b; Dantzig pricing (lowest column on ties) for a budget of
+   64 + 8m iterations per phase, then Bland's rule; ratio-test ties go to
+   the lowest basic column.  When an LP has many optimal vertices — and
+   maximising delta with a degenerate window pins delta = 0 on a whole
+   face — the vertex returned is the one this rule reaches, so the rule
+   is part of the output.
+
+   What changes is the representation.  Of the m basic columns at most n
+   are structural; the others are slacks or artificials, unit vectors.
+   With T the rows no basic unit column covers and S the basic
+   structural columns, |T| = |S| = p <= n, and B^-1 reduces to the p x p
+   matrix G = A[T, S]: solve G for the structural part, then each covered
+   row is one residual.  An iteration costs O(p^3 + (m + n) p) flops
+   instead of a pass over an m x (2n + m) tableau of rationals.
+
+   Each quantity a decision reads (basic values, reduced costs, the
+   entering column) is a double with an error bound, backed by an exact
+   value computed on demand: the exact p x p solves (fraction-free,
+   Bareiss) run only in iterations where some bound cannot settle a sign
+   or a comparison, typically a degenerate tie.  Such an iteration counts
+   as an exact pivot, the others as float pivots.  The final basis is
+   then certified exactly (see [certify_optimal] and friends); should a
+   certificate fail, the phase re-runs with every decision exact. *)
+
+type col = Xp of int | Xm of int | Slack of int | Art of int
+
+type problem = {
+  n : int;
+  m : int;
+  a : R.t array array;
+  b : R.t array;
+  af : ap array array;
+  bf : ap array;
+  lz : Z.t array;  (* positive integer scale of each row *)
+  ex : exact_lp;  (* rows scaled by [lz] *)
+  real_cols : int;  (* 2n + m *)
+  art_row : int array;  (* row of each artificial *)
+}
+
+let col_of pb j =
+  if j < pb.n then Xp j
+  else if j < 2 * pb.n then Xm (j - pb.n)
+  else if j < pb.real_cols then Slack (j - (2 * pb.n))
+  else Art pb.art_row.(j - pb.real_cols)
+
+(* A column of [A | I | -E | b], entry by entry: exact, bounded double,
+   and scaled to the row's integers. *)
+type column = { cq : int -> R.t; cf : int -> ap; cz : int -> Z.t }
+
+let column pb = function
+  | Xp k ->
+      {
+        cq = (fun i -> pb.a.(i).(k));
+        cf = (fun i -> pb.af.(i).(k));
+        cz = (fun i -> pb.ex.az.(i).(k));
+      }
+  | Xm k ->
+      {
+        cq = (fun i -> R.neg pb.a.(i).(k));
+        cf = (fun i -> ap_neg pb.af.(i).(k));
+        cz = (fun i -> Z.neg pb.ex.az.(i).(k));
+      }
+  | Slack r ->
+      {
+        cq = (fun i -> if i = r then R.one else R.zero);
+        cf = (fun i -> ap_exact (if i = r then 1.0 else 0.0));
+        cz = (fun i -> if i = r then pb.lz.(r) else Z.zero);
+      }
+  | Art r ->
+      {
+        cq = (fun i -> if i = r then R.minus_one else R.zero);
+        cf = (fun i -> ap_exact (if i = r then -1.0 else 0.0));
+        cz = (fun i -> if i = r then Z.neg pb.lz.(r) else Z.zero);
+      }
+
+let rhs_column pb =
+  {
+    cq = (fun i -> pb.b.(i));
+    cf = (fun i -> pb.bf.(i));
+    cz = (fun i -> pb.ex.bz.(i));
+  }
+
+(* A quantity: a bounded double and its exact value on demand. *)
+type q = { f : ap; x : R.t Lazy.t }
+
+let q_const r = { f = ap_of_rat r; x = Lazy.from_val r }
+
+(* [beyond lo cutoff]: a lower bound clearly above a cutoff (with a
+   margin for the rounding of the bounds themselves). *)
+let beyond lo cutoff = lo > cutoff +. (Float.abs cutoff *. 1e-9)
+
+let ap_lo a = a.v -. (2.0 *. a.e)
+let ap_hi a = a.v +. (2.0 *. a.e)
+
+let sign_q q =
+  match ap_sign q.f with Some s -> s | None -> R.sign (Lazy.force q.x)
+
+let compare_q a b =
+  match ap_sign (ap_sub a.f b.f) with
+  | Some s -> s
+  | None -> R.compare (Lazy.force a.x) (Lazy.force b.x)
+
+(* The basis seen through its small matrix. *)
+type view = {
+  t_rows : int array;  (* T *)
+  s_cols : (int * int) array;  (* S: (variable k, +1 for x+ / -1 for x-) *)
+  s_slot : int array;  (* slot of each S column *)
+  unit_slot : int array;  (* per row: slot of its basic unit column, or -1 *)
+  tau : int array;  (* per covered row: +1 slack, -1 artificial *)
+  ginv : (float array array * float) option;  (* G^-1, entry error bound *)
+  gz : Z.t array array Lazy.t;  (* G with rows scaled to integers *)
+  on_exact : unit -> unit;  (* called before each exact solve *)
+}
+
+let make_view pb basis ~force_exact ~on_exact =
+  let unit_slot = Array.make pb.m (-1) and tau = Array.make pb.m 1 in
+  let s = ref [] in
+  Array.iteri
+    (fun slot j ->
+      match col_of pb j with
+      | Xp k -> s := (slot, (k, 1)) :: !s
+      | Xm k -> s := (slot, (k, -1)) :: !s
+      | Slack i -> unit_slot.(i) <- slot
+      | Art i ->
+          unit_slot.(i) <- slot;
+          tau.(i) <- -1)
+    basis;
+  let s = Array.of_list (List.rev !s) in
+  let s_cols = Array.map snd s in
+  let t_rows =
+    Array.of_list
+      (List.filter (fun i -> unit_slot.(i) < 0) (List.init pb.m Fun.id))
+  in
+  assert (Array.length t_rows = Array.length s_cols);
+  let ginv =
+    if force_exact then None
+    else
+      invert_float
+        (Array.map
+           (fun i ->
+             Array.map
+               (fun (k, sg) -> float_of_int sg *. pb.af.(i).(k).v)
+               s_cols)
+           t_rows)
+  in
+  {
+    t_rows;
+    s_cols;
+    s_slot = Array.map fst s;
+    unit_slot;
+    tau;
+    ginv;
+    gz =
+      lazy
+        (Array.map
+           (fun i ->
+             Array.map
+               (fun (k, sg) ->
+                 if sg > 0 then pb.ex.az.(i).(k) else Z.neg pb.ex.az.(i).(k))
+               s_cols)
+           t_rows);
+    on_exact;
+  }
+
+let unsettled = { v = 0.0; e = infinity }
+
+(* G^-1 entry (s, t) as a bounded double. *)
+let ginv_at vw s t =
+  match vw.ginv with
+  | Some (inv, eg) -> { v = inv.(s).(t); e = eg }
+  | None -> unsettled
+
+(* Sum over S of sign * A[i, k] * z_s, as bounded double and exactly. *)
+let row_s_f pb vw i (zf : ap array) =
+  let acc = ref (ap_exact 0.0) in
+  Array.iteri
+    (fun s (k, sg) ->
+      let aik = if sg > 0 then pb.af.(i).(k) else ap_neg pb.af.(i).(k) in
+      acc := ap_add !acc (ap_mul aik zf.(s)))
+    vw.s_cols;
+  !acc
+
+let row_s_x pb vw i (zx : R.t array) =
+  let acc = ref R.zero in
+  Array.iteri
+    (fun s (k, sg) ->
+      let aik = if sg > 0 then pb.a.(i).(k) else R.neg pb.a.(i).(k) in
+      if not (R.is_zero aik) then acc := R.add !acc (R.mul aik zx.(s)))
+    vw.s_cols;
+  !acc
+
+(* B z = v for a column v: one quantity per slot. *)
+let solve_column pb vw (v : column) =
+  let p = Array.length vw.t_rows in
+  let zf =
+    Array.init p (fun s ->
+        let acc = ref (ap_exact 0.0) in
+        Array.iteri
+          (fun t i -> acc := ap_add !acc (ap_mul (ginv_at vw s t) (v.cf i)))
+          vw.t_rows;
+        !acc)
+  in
+  let zx =
+    lazy
+      (vw.on_exact ();
+       match bareiss_solve (Lazy.force vw.gz) [ Array.map v.cz vw.t_rows ] with
+       | Some (d, [ z ]) -> Array.map (fun zi -> R.make zi d) z
+       | _ -> invalid_arg "Lp: singular basis")
+  in
+  let out = Array.make pb.m (q_const R.zero) in
+  Array.iteri
+    (fun s slot -> out.(slot) <- { f = zf.(s); x = lazy (Lazy.force zx).(s) })
+    vw.s_slot;
+  Array.iteri
+    (fun i slot ->
+      if slot >= 0 then begin
+        let tau = vw.tau.(i) in
+        let f = ap_sub (v.cf i) (row_s_f pb vw i zf) in
+        out.(slot) <-
+          {
+            f = (if tau > 0 then f else ap_neg f);
+            x =
+              lazy
+                (let r = R.sub (v.cq i) (row_s_x pb vw i (Lazy.force zx)) in
+                 if tau > 0 then r else R.neg r);
+          }
+      end)
+    vw.unit_slot;
+  out
+
+(* G^T w = h, exactly: returns w indexed like T.  G's rows are scaled by
+   lz, so Gz^T (w / lz_T) = h. *)
+let solve_transposed_exact pb vw (h : R.t array) =
+  vw.on_exact ();
+  let hl = lcm_dens h in
+  let hz = Array.map (fun q -> Z.mul (R.num q) (Z.div hl (R.den q))) h in
+  match bareiss_solve (transpose (Lazy.force vw.gz)) [ hz ] with
+  | Some (d, [ u ]) ->
+      Array.mapi
+        (fun t i -> R.make (Z.mul pb.lz.(i) u.(t)) (Z.mul d hl))
+        vw.t_rows
+  | _ -> invalid_arg "Lp: singular basis"
+
+(* sum over [rows] of A[i, k] pi_i, as bounded double and exactly. *)
+let pi_dot_f pb pi rows k =
+  List.fold_left
+    (fun acc i -> ap_add acc (ap_mul pb.af.(i).(k) pi.(i).f))
+    (ap_exact 0.0) rows
+
+let pi_dot_x pb pi rows k =
+  List.fold_left
+    (fun acc i -> R.add acc (R.mul pb.a.(i).(k) (Lazy.force pi.(i).x)))
+    R.zero rows
+
+(* Simplex multipliers pi (B^T pi = c_B), one quantity per row, and the
+   rows where pi may be non-zero. *)
+let multipliers pb basis vw ~cost =
+  let pi = Array.make pb.m (q_const R.zero) in
+  (* Covered rows: tau_i pi_i = c(unit column), a constant. *)
+  Array.iteri
+    (fun i slot ->
+      if slot >= 0 then begin
+        let c = cost basis.(slot) in
+        pi.(i) <- q_const (if vw.tau.(i) > 0 then c else R.neg c)
+      end)
+    vw.unit_slot;
+  let covered =
+    List.filter
+      (fun i -> vw.unit_slot.(i) >= 0 && not (R.is_zero (Lazy.force pi.(i).x)))
+      (List.init pb.m Fun.id)
+  in
+  (* T rows: G^T pi_T = h, h_s = c(S_s) - sign_s sum_covered A[i, k_s] pi_i. *)
+  let s_cost s = cost basis.(vw.s_slot.(s)) in
+  let h_f =
+    Array.mapi
+      (fun s (k, sg) ->
+        let acc = pi_dot_f pb pi covered k in
+        ap_sub (ap_of_rat (s_cost s)) (if sg > 0 then acc else ap_neg acc))
+      vw.s_cols
+  in
+  let h_x =
+    lazy
+      (Array.mapi
+         (fun s (k, sg) ->
+           let acc = pi_dot_x pb pi covered k in
+           R.sub (s_cost s) (if sg > 0 then acc else R.neg acc))
+         vw.s_cols)
+  in
+  let pt_x = lazy (solve_transposed_exact pb vw (Lazy.force h_x)) in
+  Array.iteri
+    (fun t i ->
+      let acc = ref (ap_exact 0.0) in
+      Array.iteri
+        (fun s _ -> acc := ap_add !acc (ap_mul (ginv_at vw s t) h_f.(s)))
+        vw.s_cols;
+      pi.(i) <- { f = !acc; x = lazy (Lazy.force pt_x).(t) })
+    vw.t_rows;
+  (pi, covered @ Array.to_list vw.t_rows)
+
+(* Reduced cost z_j - c_j = pi . a_j - c_j of column j. *)
+let reduced_cost pb ~cost (pi, live) j =
+  match col_of pb j with
+  | (Xp k | Xm k) as cl ->
+      let rows = List.filter (fun i -> not (R.is_zero pb.a.(i).(k))) live in
+      let c = cost j in
+      let neg = match cl with Xm _ -> true | _ -> false in
+      let f = pi_dot_f pb pi rows k in
+      {
+        f = ap_sub (if neg then ap_neg f else f) (ap_of_rat c);
+        x =
+          lazy
+            (let s = pi_dot_x pb pi rows k in
+             R.sub (if neg then R.neg s else s) c);
+      }
+  | Slack i -> pi.(i)
+  | Art i ->
+      {
+        f = ap_sub (ap_exact 1.0) pi.(i).f;
+        x = lazy (R.sub R.one (Lazy.force pi.(i).x));
+      }
+
+(* ----- one phase ----- *)
+
+type phase_end =
+  | Phase_optimal
+  | Phase_unbounded of int  (* entering column with no blocking row *)
+
+type counters = { mutable float_pivots : int; mutable exact_pivots : int }
+
+(* Runs the phase from [basis] (slot -> basic column) until no column
+   below [scan] prices in.  [cost j] is the phase objective.  With
+   [force_exact], every decision reads exact values. *)
+let run_phase pb basis ~scan ~cost ~force_exact cnt =
+  let budget = ref (64 + (8 * pb.m)) in
+  let in_basis = Array.make (pb.real_cols + Array.length pb.art_row) false in
+  Array.iter (fun j -> in_basis.(j) <- true) basis;
+  let rec iterate () =
+    let exact = ref false in
+    let vw =
+      make_view pb basis ~force_exact ~on_exact:(fun () -> exact := true)
+    in
+    let mult = multipliers pb basis vw ~cost in
+    let dantzig = !budget > 0 in
+    if dantzig then decr budget;
+    (* Dantzig: most negative reduced cost, lowest column on ties;
+       Bland: lowest column with a negative reduced cost.  Columns whose
+       bounds already place them above some other column's (or above 0)
+       cannot win and are dropped before any exact value is read. *)
+    let priced = ref [] in
+    for j = scan - 1 downto 0 do
+      if not in_basis.(j) then
+        priced := (j, reduced_cost pb ~cost mult j) :: !priced
+    done;
+    let candidates =
+      if not dantzig then !priced
+      else
+        let cutoff =
+          List.fold_left
+            (fun acc (_, d) -> Float.min acc (ap_hi d.f))
+            infinity !priced
+        in
+        List.filter (fun (_, d) -> not (beyond (ap_lo d.f) cutoff)) !priced
+    in
+    let rec price best = function
+      | [] -> best
+      | (j, d) :: rest ->
+          if ap_lo d.f >= 0.0 || sign_q d >= 0 then price best rest
+          else if not dantzig then Some (j, d)
+          else (
+            match best with
+            | Some (_, db) when compare_q d db >= 0 -> price best rest
+            | _ -> price (Some (j, d)) rest)
+    in
+    match price None candidates with
+    | None -> Phase_optimal
+    | Some (col, _) -> (
+        let z = solve_column pb vw (column pb (col_of pb col)) in
+        let beta = solve_column pb vw (rhs_column pb) in
+        (* Ratio test beta_r / z_r over z_r > 0 (beta >= 0 throughout);
+           ties to the lowest basic column.  Rows whose ratio is bounded
+           below by some surely-eligible row's upper bound are dropped
+           first. *)
+        let cutoff = ref infinity in
+        for r = 0 to pb.m - 1 do
+          let zl = ap_lo z.(r).f in
+          if zl > 0.0 then cutoff := Float.min !cutoff (ap_hi beta.(r).f /. zl)
+        done;
+        let leave = ref (-1) in
+        for r = 0 to pb.m - 1 do
+          let zh = ap_hi z.(r).f in
+          let ratio_lo = Float.max 0.0 (ap_lo beta.(r).f) /. zh in
+          (* [not (zh <= 0.0)] also keeps a NaN bound in play. *)
+          if
+            (not (zh <= 0.0))
+            && (not (beyond ratio_lo !cutoff))
+            && sign_q z.(r) > 0
+          then
+            if !leave < 0 then leave := r
+            else begin
+              let l = !leave in
+              let cmp =
+                match
+                  ap_sign
+                    (ap_sub (ap_mul beta.(r).f z.(l).f)
+                       (ap_mul beta.(l).f z.(r).f))
+                with
+                | Some s -> s
+                | None ->
+                    R.compare
+                      (R.mul (Lazy.force beta.(r).x) (Lazy.force z.(l).x))
+                      (R.mul (Lazy.force beta.(l).x) (Lazy.force z.(r).x))
+              in
+              if cmp < 0 || (cmp = 0 && basis.(r) < basis.(l)) then leave := r
+            end
+        done;
+        if !leave < 0 then Phase_unbounded col
+        else begin
+          in_basis.(basis.(!leave)) <- false;
+          in_basis.(col) <- true;
+          basis.(!leave) <- col;
+          if !exact then cnt.exact_pivots <- cnt.exact_pivots + 1
+          else cnt.float_pivots <- cnt.float_pivots + 1;
+          iterate ()
+        end)
   in
   iterate ()
 
-let objective_value tb c =
-  let v = ref R.zero in
-  for i = 0 to tb.rows - 1 do
-    let cb = c.(tb.basis.(i)) in
-    if not (R.is_zero cb) then v := R.add !v (R.mul cb tb.t.(i).(tb.width))
-  done;
-  !v
+(* ----- certification of the final basis ----- *)
 
-let maximize ~obj ~rows =
-  let n = Array.length obj in
-  let m = Array.length rows in
+type verdict = V_optimal of (Z.t * Z.t array) | V_infeasible | V_unbounded
+type cert = { verdict : verdict; bits : int }
+
+(* The n x n matrix of the basis's tight rows (T) and the free variables
+   it leaves non-basic (at 0): the vertex solves M x = r. *)
+let vertex_system pb vw =
+  let in_s = Array.make pb.n false in
+  Array.iter (fun (k, _) -> in_s.(k) <- true) vw.s_cols;
+  let free = List.filter (fun k -> not in_s.(k)) (List.init pb.n Fun.id) in
+  let unit k = Array.init pb.n (fun j -> if j = k then Z.one else Z.zero) in
+  let mat =
+    Array.append
+      (Array.map (fun i -> pb.ex.az.(i)) vw.t_rows)
+      (Array.of_list (List.map unit free))
+  in
+  let rhs =
+    Array.append
+      (Array.map (fun i -> pb.ex.bz.(i)) vw.t_rows)
+      (Array.make (List.length free) Z.zero)
+  in
+  (mat, rhs, Array.length vw.t_rows)
+
+let certify_optimal pb vw =
+  let mat, rhs, p = vertex_system pb vw in
+  match
+    (bareiss_solve mat [ rhs ], bareiss_solve (transpose mat) [ pb.ex.cz ])
+  with
+  | Some (d, [ xs ]), Some (dy, [ ys ]) ->
+      (* Multipliers live on the tight rows; the free variables' entries
+         must vanish, which the check's y^T A = c enforces. *)
+      let y = Array.make pb.m Z.zero in
+      Array.iteri (fun t i -> y.(i) <- ys.(t)) vw.t_rows;
+      let free_zero = ref true in
+      Array.iteri
+        (fun k yk -> if k >= p && not (Z.is_zero yk) then free_zero := false)
+        ys;
+      if !free_zero && check_optimal pb.ex (d, xs) (dy, y) then
+        Some
+          {
+            verdict = V_optimal (d, xs);
+            bits = max_bits (d :: dy :: (Array.to_list xs @ Array.to_list ys));
+          }
+      else None
+  | _ -> None
+
+(* Phase 1 ended with a positive artificial: its multipliers are a Farkas
+   combination (pi >= 0, pi^T A = 0, pi.b < 0). *)
+let certify_infeasible pb pi =
+  let y =
+    Array.mapi (fun i q -> R.div (Lazy.force q.x) (R.of_bigint pb.lz.(i))) pi
+  in
+  let yz = to_integers y in
+  if check_farkas pb.ex yz then
+    Some { verdict = V_infeasible; bits = max_bits (Array.to_list yz) }
+  else None
+
+(* Phase 2 found a column with no blocking row: the basic point plus that
+   column's edge direction. *)
+let certify_unbounded pb vw col =
+  let mat, rhs, _ = vertex_system pb vw in
+  match bareiss_solve mat [ rhs ] with
+  | Some (d, [ xs ]) ->
+      let z = solve_column pb vw (column pb (col_of pb col)) in
+      let ray = Array.make pb.n R.zero in
+      Array.iteri
+        (fun s (k, sg) ->
+          let zs = Lazy.force z.(vw.s_slot.(s)).x in
+          ray.(k) <- (if sg > 0 then R.neg zs else zs))
+        vw.s_cols;
+      (match col_of pb col with
+      | Xp k -> ray.(k) <- R.add ray.(k) R.one
+      | Xm k -> ray.(k) <- R.sub ray.(k) R.one
+      | Slack _ | Art _ -> ());
+      let rz = to_integers ray in
+      if check_ray pb.ex (d, xs) rz then
+        Some
+          {
+            verdict = V_unbounded;
+            bits = max_bits (d :: (Array.to_list xs @ Array.to_list rz));
+          }
+      else None
+  | _ -> None
+
+(* After phase 1, pivot every basic artificial (at value 0) out on the
+   lowest column with a non-zero entry in its tableau row; a row with none
+   is redundant and keeps its artificial.  These degenerate basis repairs
+   are not simplex iterations and are not counted as pivots. *)
+let drive_out_artificials pb basis =
+  for r = 0 to pb.m - 1 do
+    match col_of pb basis.(r) with
+    | Art i ->
+        let vw = make_view pb basis ~force_exact:true ~on_exact:ignore in
+        (* Row r of B^-1 A is tau (a_j[i] - w . a_j[T]) with G^T w = g,
+           g_s = sign_s A[i, k_s]; tau = -1 only flips signs. *)
+        let g =
+          Array.map
+            (fun (k, sg) -> if sg > 0 then pb.a.(i).(k) else R.neg pb.a.(i).(k))
+            vw.s_cols
+        in
+        let w = solve_transposed_exact pb vw g in
+        let entry j =
+          let cq = (column pb (col_of pb j)).cq in
+          let acc = ref (cq i) in
+          Array.iteri
+            (fun t it -> acc := R.sub !acc (R.mul w.(t) (cq it)))
+            vw.t_rows;
+          !acc
+        in
+        let rec find j =
+          if j >= pb.real_cols then None
+          else if not (R.is_zero (entry j)) then Some j
+          else find (j + 1)
+        in
+        (match find 0 with
+        | Some j -> basis.(r) <- j
+        | None -> ())
+    | _ -> ()
+  done
+
+let solve ~obj ~rows =
+  let n = Array.length obj and m = Array.length rows in
   Array.iter
     (fun (a, _) ->
       if Array.length a <> n then invalid_arg "Lp.maximize: row length")
     rows;
-  let neg_rows =
-    Array.fold_left (fun acc (_, b) -> if R.sign b < 0 then acc + 1 else acc) 0 rows
+  let t0 = Unix.gettimeofday () in
+  let a = Array.map fst rows and b = Array.map snd rows in
+  let lz = Array.map (fun (a, b) -> lcm_dens (Array.append a [| b |])) rows in
+  let scale l q = Z.mul (R.num q) (Z.div l (R.den q)) in
+  let pb =
+    {
+      n;
+      m;
+      a;
+      b;
+      af = Array.map (Array.map ap_of_rat) a;
+      bf = Array.map ap_of_rat b;
+      lz;
+      ex =
+        {
+          n;
+          az = Array.mapi (fun i ai -> Array.map (scale lz.(i)) ai) a;
+          bz = Array.mapi (fun i bi -> scale lz.(i) bi) b;
+          cz = to_integers obj;
+        };
+      real_cols = (2 * n) + m;
+      art_row =
+        Array.of_list
+          (List.filter (fun i -> R.sign b.(i) < 0) (List.init m Fun.id));
+    }
   in
-  let real_cols = (2 * n) + m in
-  let width = real_cols + neg_rows in
-  let t = Array.make_matrix m (width + 1) R.zero in
-  let basis = Array.make m 0 in
-  let art_idx = ref real_cols in
-  Array.iteri
-    (fun i (a, b) ->
-      let negate = R.sign b < 0 in
-      let put j v = t.(i).(j) <- (if negate then R.neg v else v) in
-      for k = 0 to n - 1 do
-        put k a.(k);
-        put (n + k) (R.neg a.(k))
-      done;
-      put ((2 * n) + i) R.one;
-      t.(i).(width) <- (if negate then R.neg b else b);
-      if negate then begin
-        t.(i).(!art_idx) <- R.one;
-        basis.(i) <- !art_idx;
-        incr art_idx
-      end
-      else basis.(i) <- (2 * n) + i)
-    rows;
-  let tb = { width; scan = width; rows = m; t; basis } in
-  (* Phase 1: maximize -(sum of artificials). *)
-  let phase1 =
-    if neg_rows = 0 then `Feasible
+  (* Initial basis: each row's slack, or its artificial when b_i < 0. *)
+  let basis = Array.init m (fun i -> (2 * n) + i) in
+  Array.iteri (fun r i -> basis.(i) <- pb.real_cols + r) pb.art_row;
+  let cnt = { float_pivots = 0; exact_pivots = 0 } in
+  let exact_view () = make_view pb basis ~force_exact:true ~on_exact:ignore in
+  (* A phase whose verdict fails its certificate re-runs from where it
+     stopped with every decision exact. *)
+  let certified_phase ~scan ~cost ~certify =
+    match certify (run_phase pb basis ~scan ~cost ~force_exact:false cnt) with
+    | Some c -> Some c
+    | None -> certify (run_phase pb basis ~scan ~cost ~force_exact:true cnt)
+  in
+  let phase2 () =
+    certified_phase ~scan:pb.real_cols
+      ~cost:(fun j ->
+        match col_of pb j with
+        | Xp k -> obj.(k)
+        | Xm k -> R.neg obj.(k)
+        | _ -> R.zero)
+      ~certify:(function
+        | Phase_optimal -> certify_optimal pb (exact_view ())
+        | Phase_unbounded col -> certify_unbounded pb (exact_view ()) col)
+  in
+  let cert =
+    if Array.length pb.art_row = 0 then phase2 ()
     else begin
-      let c1 = Array.make width R.zero in
-      for j = real_cols to width - 1 do
-        c1.(j) <- R.minus_one
-      done;
-      match run_phase tb (make_zrow tb c1) with
-      | `Unbounded -> assert false (* phase-1 objective is bounded by 0 *)
-      | `Optimal ->
-          if R.sign (objective_value tb c1) < 0 then `Infeasible
-          else begin
-            (* Try to drive basic artificials (all at value zero) out; a row
-               where that is impossible is redundant and stays harmlessly. *)
-            for i = 0 to m - 1 do
-              if tb.basis.(i) >= real_cols then begin
-                let rec find j =
-                  if j >= real_cols then None
-                  else if not (R.is_zero tb.t.(i).(j)) then Some j
-                  else find (j + 1)
-                in
-                match find 0 with
-                | Some col ->
-                    (* The z-row is rebuilt for phase 2; a throwaway one
-                       keeps the pivot uniform here. *)
-                    pivot tb (Array.make (tb.width + 1) R.zero) ~row:i ~col
-                | None -> ()
-              end
-            done;
-            `Feasible
-          end
+      (* Phase 1 maximises -(sum of artificials): feasible when no basic
+         artificial stays positive, otherwise certified infeasible. *)
+      let cost1 j = match col_of pb j with Art _ -> R.minus_one | _ -> R.zero in
+      let phase1 force_exact =
+        let scan = pb.real_cols + Array.length pb.art_row in
+        match run_phase pb basis ~scan ~cost:cost1 ~force_exact cnt with
+        | Phase_unbounded _ -> assert false (* bounded above by 0 *)
+        | Phase_optimal ->
+            let vw = exact_view () in
+            let beta = solve_column pb vw (rhs_column pb) in
+            let positive = ref false in
+            Array.iteri
+              (fun r j ->
+                match col_of pb j with
+                | Art _ when sign_q beta.(r) > 0 -> positive := true
+                | _ -> ())
+              basis;
+            if !positive then
+              let pi, _ = multipliers pb basis vw ~cost:cost1 in
+              `Infeasible (certify_infeasible pb pi)
+            else `Feasible
+      in
+      let feasible () =
+        drive_out_artificials pb basis;
+        phase2 ()
+      in
+      match phase1 false with
+      | `Feasible -> feasible ()
+      | `Infeasible (Some c) -> Some c
+      | `Infeasible None -> (
+          match phase1 true with `Feasible -> feasible () | `Infeasible c -> c)
     end
   in
-  match phase1 with
-  | `Infeasible -> Infeasible
-  | `Feasible -> (
-      (* Phase 2: artificial columns are frozen out of the entering scan. *)
-      tb.scan <- real_cols;
-      let c2 = Array.make width R.zero in
-      for k = 0 to n - 1 do
-        c2.(k) <- obj.(k);
-        c2.(n + k) <- R.neg obj.(k)
-      done;
-      match run_phase tb (make_zrow tb c2) with
-      | `Unbounded -> Unbounded
-      | `Optimal ->
-          (* Tableau statistics are Debug-level diagnostics; the maxbits
-             scan is quadratic in the tableau, so it only runs when a
-             sink actually listens (the [Diag.event] thunk is not forced
-             otherwise). *)
-          Diag.event ~level:Diag.Debug "lp.solved" (fun () ->
-              let maxbits = ref 0 in
-              Array.iter
-                (Array.iter (fun e ->
-                     maxbits :=
-                       Stdlib.max !maxbits
-                         (Bigint.numbits (R.num e) + Bigint.numbits (R.den e))))
-                t;
-              [
-                ("rows", Diag.Int m);
-                ("pivots_cum", Diag.Int !pivot_count);
-                ("maxbits", Diag.Int !maxbits);
-              ]);
-          let y = Array.make width R.zero in
-          for i = 0 to m - 1 do
-            y.(tb.basis.(i)) <- t.(i).(width)
-          done;
-          let x = Array.init n (fun k -> R.sub y.(k) y.(n + k)) in
-          Optimal (x, objective_value tb c2))
+  let cert =
+    match cert with
+    | Some c -> c
+    | None -> failwith "Lp.maximize: no verdict survived exact certification"
+  in
+  let status, certificate =
+    match cert.verdict with
+    | V_infeasible -> (Infeasible, "farkas")
+    | V_unbounded -> (Unbounded, "ray")
+    | V_optimal (d, xs) ->
+        let x = Array.map (fun xj -> R.make xj d) xs in
+        let v = ref R.zero in
+        Array.iteri
+          (fun j cj ->
+            if not (R.is_zero cj) then v := R.add !v (R.mul cj x.(j)))
+          obj;
+        (Optimal (x, !v), "optimality")
+  in
+  ignore
+    (Atomic.fetch_and_add pivot_count (cnt.float_pivots + cnt.exact_pivots));
+  ( status,
+    {
+      float_pivots = cnt.float_pivots;
+      exact_pivots = cnt.exact_pivots;
+      certified = true;
+      certificate;
+      rows = m;
+      seconds = Unix.gettimeofday () -. t0;
+      cert_bits = cert.bits;
+    } )
+
+let maximize_stats ~obj ~rows =
+  let ((status, st) as r) = solve ~obj ~rows in
+  (* Optimal solves keep the historical event name, which perf tooling
+     counts; the other verdicts get their own. *)
+  let name =
+    match status with
+    | Optimal _ -> "lp.solved"
+    | Infeasible -> "lp.infeasible"
+    | Unbounded -> "lp.unbounded"
+  in
+  Diag.event ~level:Diag.Debug name (fun () ->
+      [
+        ("rows", Diag.Int st.rows);
+        ("pivots_cum", Diag.Int (Atomic.get pivot_count));
+        ("maxbits", Diag.Int st.cert_bits);
+        ("float_pivots", Diag.Int st.float_pivots);
+        ("exact_pivots", Diag.Int st.exact_pivots);
+        ("certified", Diag.Bool st.certified);
+        ("certificate", Diag.String st.certificate);
+        ("seconds", Diag.Float st.seconds);
+      ]);
+  r
+
+let maximize ~obj ~rows = fst (maximize_stats ~obj ~rows)
 
 (* ---------- RLibm interval systems ---------- *)
 
@@ -263,8 +1018,8 @@ let rows_of_point ~mono pt =
 
 (* Round a rational to [bits] significant bits (toward zero).  Monomials
    of double-precision reduced inputs have up to 53*degree-bit
-   denominators; carrying them exactly through simplex pivots inflates
-   tableau entries to thousands of bits.  Because the pipeline validates
+   denominators; carrying them exactly inflates the exact solves and
+   certificates to thousands of bits.  Because the pipeline validates
    candidates by *empirical double evaluation* (and re-constrains on any
    miss), the LP may legally work with perturbed monomials — correctness
    never depends on them. *)
@@ -275,8 +1030,23 @@ let round_bits q bits =
     R.mul_pow2 (R.of_bigint (if R.sign q < 0 then Bigint.neg m else m)) e
   end
 
-let solve_interval_system ?(max_added_per_round = 16) ?(log = fun _ -> ())
-    ?(initial_working = []) ?tilt ?mono_bits ~powers points =
+type instance = {
+  powers : int array;
+  points : point array;
+  initial_working : int list;
+  tilt : Rat.t array option;
+  mono_bits : int option;
+  max_added_per_round : int;
+}
+
+let recorder : (instance -> unit) option Atomic.t = Atomic.make None
+
+let with_recorder f body =
+  let prev = Atomic.exchange recorder (Some f) in
+  Fun.protect ~finally:(fun () -> Atomic.set recorder prev) body
+
+let solve_instance ?(maximize = maximize) ?(log = fun _ -> ())
+    { powers; points; initial_working; tilt; mono_bits; max_added_per_round } =
   let d = Array.length powers in
   let n_points = Array.length points in
   if n_points = 0 then Sat (Array.make d R.zero, [])
@@ -346,7 +1116,7 @@ let solve_interval_system ?(max_added_per_round = 16) ?(log = fun _ -> ())
       let worst = R.max (R.sub pt.lo v) (R.sub v pt.hi) in
       if R.sign worst > 0 then Some (R.to_float worst) else None
     in
-    (* Slack-constraint pruning keeps the exact tableau small.  Each
+    (* Slack-constraint pruning keeps the working LP small.  Each
        constraint may be pruned at most once (the ratchet below): without
        it the working set can cycle — prune A, vertex moves, A violated,
        re-add A, prune B, vertex moves back ... — and with it the classic
@@ -451,3 +1221,11 @@ let solve_interval_system ?(max_added_per_round = 16) ?(log = fun _ -> ())
     in
     loop 1
   end
+
+let solve_interval_system ?(max_added_per_round = 16) ?log
+    ?(initial_working = []) ?tilt ?mono_bits ~powers points =
+  let inst =
+    { powers; points; initial_working; tilt; mono_bits; max_added_per_round }
+  in
+  Option.iter (fun f -> f inst) (Atomic.get recorder);
+  solve_instance ?log inst

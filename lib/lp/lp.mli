@@ -1,12 +1,24 @@
-(** Exact-rational linear programming.
+(** Exact linear programming over free variables.
 
-    Substitute for SoPlex (used by the RLibm artifact): a dense two-phase
-    primal simplex over {!Rat} with Bland's anti-cycling rule, so
-    feasibility verdicts are exact and termination is guaranteed.  On top
-    of it, {!solve_interval_system} implements RLibm's low-dimension /
-    many-constraint strategy: solve on a small working set of constraints
-    and repeatedly add violated ones — the workhorse of polynomial
-    generation. *)
+    Substitute for SoPlex (used by the RLibm artifact), following the
+    shape of SoPlex's exact mode: pivot in floating point, then verify in
+    exact arithmetic.  {!maximize} runs a two-phase primal simplex whose
+    basis is held as a p x p matrix (p <= number of variables, however
+    many rows there are): every row's slack is implicit, so an iteration
+    costs a small dense solve in doubles plus one pass over the rows.
+    Each double a pivot decision reads carries an error bound; a
+    decision the bound cannot settle is taken on exact values (a
+    fraction-free Bareiss solve over {!Bigint}).  The final verdict is
+    accepted only with an exact certificate — a feasible vertex with
+    non-negative multipliers, a Farkas combination, or a feasible point
+    and an improving ray — so verdicts and vertices are exact.  The pivot
+    rule (Dantzig pricing with a budget, then Bland) is fixed, so LPs
+    with many optimal vertices always return the same one.
+
+    On top of it, {!solve_interval_system} implements RLibm's
+    low-dimension / many-constraint strategy: solve on a small working
+    set of constraints and repeatedly add violated ones — the workhorse
+    of polynomial generation. *)
 
 (** {1 General simplex} *)
 
@@ -23,6 +35,29 @@ type status =
     over free (sign-unrestricted) variables [x].  Every [a_i] must have
     the same length as [obj]. *)
 val maximize : obj:Rat.t array -> rows:(Rat.t array * Rat.t) array -> status
+
+(** What one solve did. *)
+type stats = {
+  float_pivots : int;  (** pivots decided on doubles alone *)
+  exact_pivots : int;
+      (** pivots where some decision needed exact values (degenerate
+          ties, ill-conditioned bases) *)
+  certified : bool;
+      (** the verdict's exact certificate checked — always [true] in a
+          returned record: a solve whose final verdict fails its check
+          even after exact pivoting raises [Failure] instead *)
+  certificate : string;  (** ["optimality"], ["farkas"] or ["ray"] *)
+  rows : int;
+  seconds : float;  (** wall-clock time of the solve *)
+  cert_bits : int;  (** largest integer of the certificate, in bits *)
+}
+
+(** [maximize_stats] is {!maximize} plus the solve's {!stats}.  Both
+    emit a Debug event carrying the stats ([lp.solved] for optimal
+    solves, [lp.infeasible] / [lp.unbounded] otherwise), with
+    [pivots_cum] the process-wide pivot count and [maxbits] = [cert_bits]. *)
+val maximize_stats :
+  obj:Rat.t array -> rows:(Rat.t array * Rat.t) array -> status * stats
 
 (** {1 RLibm-style interval systems} *)
 
@@ -47,11 +82,10 @@ type system_result =
     the full system infeasible).
 
     [powers] lists the monomial exponents, e.g. [[|0;1;2;3|]] for a cubic
-    with all terms.  [max_added_per_round] (default 64) bounds how many
-    violated constraints join the working set per iteration (the batch
-    grows geometrically when many rounds are needed, so infeasibility of
-    large systems is detected quickly).  [initial_working] warm-starts the
-    working set, typically from a previous [Sat]. *)
+    with all terms.  [max_added_per_round] (default 16) bounds how many
+    violated constraints join the working set per iteration.
+    [initial_working] warm-starts the working set, typically from a
+    previous [Sat]. *)
 val solve_interval_system :
   ?max_added_per_round:int ->
   ?log:(string -> unit) ->
@@ -63,8 +97,8 @@ val solve_interval_system :
   system_result
 
 (** [mono_bits] rounds each monomial [x^k] to that many significant bits
-    before building the LP (default: exact).  This keeps exact-rational
-    tableau entries small when [x] has a long mantissa; the RLibm pipeline
+    before building the LP (default: exact).  This keeps the exact
+    certificates small when [x] has a long mantissa; the RLibm pipeline
     can afford it because candidate acceptance is decided by empirical
     double evaluation, never by the LP itself. *)
 
@@ -73,6 +107,30 @@ val solve_interval_system :
     near-optimal vertices; the generation loop randomizes it to search for
     candidates whose double-precision evaluation satisfies constraints the
     default vertex misses. *)
+
+(** {2 Replay} *)
+
+(** The arguments of one {!solve_interval_system} call. *)
+type instance = {
+  powers : int array;
+  points : point array;
+  initial_working : int list;
+  tilt : Rat.t array option;
+  mono_bits : int option;
+  max_added_per_round : int;
+}
+
+(** [with_recorder f body] runs [body], passing every
+    {!solve_interval_system} call it makes (on any domain) to [f] first. *)
+val with_recorder : (instance -> unit) -> (unit -> 'a) -> 'a
+
+(** [solve_instance inst] re-runs a recorded call; [maximize] swaps the
+    LP engine (default {!maximize}), e.g. for a differential check. *)
+val solve_instance :
+  ?maximize:(obj:Rat.t array -> rows:(Rat.t array * Rat.t) array -> status) ->
+  ?log:(string -> unit) ->
+  instance ->
+  system_result
 
 (** [eval_poly ~powers coeffs x] is the exact rational value
     [sum_k coeffs_k * x^powers_k]. *)

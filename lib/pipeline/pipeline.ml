@@ -51,8 +51,11 @@ let v_constraints = 1
 
 (* v2: the persisted poly payload is a [(solved, Diag.Error.t) result] —
    failures are typed data now, not strings — so v1 entries (which held
-   [(solved, string) result]) must be orphaned, not decoded. *)
-let v_poly = 2
+   [(solved, string) result]) must be orphaned, not decoded.
+   v3: the LP engine changed (float pivoting with exact certification
+   replaced the dense rational tableau); it returns the same vertices,
+   but an algorithm change never reuses artifacts it did not produce. *)
+let v_poly = 3
 let v_verdict = 1
 
 let base ~(cfg : Rlibm.Config.t) func =

@@ -266,6 +266,212 @@ let prop_simplex_sound =
              done;
              !ok))
 
+(* ---------- differential checks against the dense tableau ---------- *)
+
+let rows_of (n, entries, rhs) =
+  let a = Array.of_list (List.map r entries) in
+  Array.of_list
+    (List.mapi (fun i b -> (Array.init n (fun j -> a.((i * n) + j)), r b)) rhs)
+
+let describe = function
+  | Lp.Optimal (x, v) ->
+      Printf.sprintf "optimal %s at [%s]" (Rat.to_string v)
+        (String.concat "; " (Array.to_list (Array.map Rat.to_string x)))
+  | Lp.Infeasible -> "infeasible"
+  | Lp.Unbounded -> "unbounded"
+
+(* Same status, exactly equal objective, and — because the pivot rule is
+   the reference's — the same vertex, also on LPs with many optima. *)
+let agrees ~obj ~rows =
+  let got, st = Lp.maximize_stats ~obj ~rows in
+  let want = Lp_dense_ref.maximize ~obj ~rows in
+  let same =
+    match (got, want) with
+    | Lp.Optimal (x, v), Lp.Optimal (x', v') ->
+        Rat.equal v v' && Array.for_all2 Rat.equal x x'
+    | Lp.Infeasible, Lp.Infeasible | Lp.Unbounded, Lp.Unbounded -> true
+    | _ -> false
+  in
+  if not same then
+    QCheck2.Test.fail_reportf "new: %s@.reference: %s" (describe got) (describe want);
+  st.Lp.certified
+
+(* Random LPs with small integer data: zeros and repeated rows make
+   degenerate vertices and ties common, negative right-hand sides force
+   phase 1, and with few rows many are unbounded or infeasible. *)
+let gen_lp =
+  QCheck2.Gen.(
+    let* n = int_range 1 4 in
+    let* m = int_range 0 8 in
+    let small = frequency [ (3, return 0); (7, int_range (-4) 4) ] in
+    let* entries = list_size (return (m * n)) small in
+    let* rhs =
+      list_size (return m) (frequency [ (3, return 0); (7, int_range (-6) 6) ])
+    in
+    let* dup = bool in
+    let* obj = list_size (return n) (int_range (-3) 3) in
+    (* Repeat the first row: a degenerate vertex whenever it is tight. *)
+    let entries, rhs =
+      if dup && m > 0 then
+        (entries @ List.filteri (fun i _ -> i < n) entries, rhs @ [ List.hd rhs ])
+      else (entries, rhs)
+    in
+    return (n, entries, rhs, obj))
+
+let prop_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"maximize matches the dense tableau" gen_lp
+       (fun (n, entries, rhs, obj) ->
+         agrees
+           ~obj:(Array.of_list (List.map r obj))
+           ~rows:(rows_of (n, entries, rhs))))
+
+(* The generator above does reach every verdict and degenerate optima. *)
+let test_reference_coverage () =
+  let st = Random.State.make [| 12 |] in
+  let seen = Hashtbl.create 4 in
+  for _ = 1 to 400 do
+    let n, entries, rhs, obj = QCheck2.Gen.generate1 ~rand:st gen_lp in
+    let obj = Array.of_list (List.map r obj) and rows = rows_of (n, entries, rhs) in
+    ignore (agrees ~obj ~rows : bool);
+    let kind =
+      match Lp_dense_ref.maximize ~obj ~rows with
+      | Lp.Optimal (x, _) ->
+          let tight =
+            Array.fold_left
+              (fun acc (a, b) ->
+                let dot = ref Rat.zero in
+                Array.iteri (fun j c -> dot := Rat.add !dot (Rat.mul c x.(j))) a;
+                if Rat.equal !dot b then acc + 1 else acc)
+              0 rows
+          in
+          if tight > n then "degenerate" else "optimal"
+      | Lp.Infeasible -> "infeasible"
+      | Lp.Unbounded -> "unbounded"
+    in
+    Hashtbl.replace seen kind ();
+    if List.exists (fun b -> b < 0) rhs then Hashtbl.replace seen "negative rhs" ()
+  done;
+  List.iter
+    (fun k -> Alcotest.(check bool) k true (Hashtbl.mem seen k))
+    [ "optimal"; "degenerate"; "infeasible"; "unbounded"; "negative rhs" ]
+
+(* Every interval system a cold generation solves, replayed with the
+   reference tableau as the LP engine: identical verdicts and identical
+   [Sat] coefficients. *)
+let test_replay_generation () =
+  List.iter
+    (fun (func, scheme) ->
+      let cfg = Rlibm.Config.mini_for func in
+      let recorded = ref [] in
+      let gen =
+        Lp.with_recorder
+          (fun inst -> recorded := inst :: !recorded)
+          (fun () ->
+            Cache.with_persistence false (fun () -> Genlibm.generate ~cfg ~scheme func))
+      in
+      Alcotest.(check bool) "generation ok" true (Result.is_ok gen);
+      Alcotest.(check bool) "solves recorded" true (!recorded <> []);
+      List.iter
+        (fun inst ->
+          let same =
+            match
+              ( Lp.solve_instance inst,
+                Lp.solve_instance ~maximize:Lp_dense_ref.maximize inst )
+            with
+            | Lp.Sat (c, w), Lp.Sat (c', w') ->
+                Array.for_all2 Rat.equal c c'
+                && List.sort compare w = List.sort compare w'
+            | Lp.Unsat, Lp.Unsat -> true
+            | _ -> false
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: replayed system agrees" (Oracle.name func)
+               (Polyeval.scheme_name scheme))
+            true same)
+        !recorded)
+    [ (Oracle.Exp2, Polyeval.EstrinFma); (Oracle.Log2, Polyeval.EstrinFma) ]
+
+(* ---------- exact fallback and certificates ---------- *)
+
+let lp_records f =
+  let sink, drain = Diag.memory_sink ~min_level:Diag.Debug () in
+  let r = Diag.with_sinks [ sink ] f in
+  let evs =
+    List.filter
+      (fun (e : Diag.ev) ->
+        List.mem e.Diag.ev_name [ "lp.solved"; "lp.infeasible"; "lp.unbounded" ])
+      (drain ())
+  in
+  (r, evs)
+
+let int_field name (e : Diag.ev) =
+  match List.assoc_opt name e.Diag.ev_fields with Some (Diag.Int v) -> v | _ -> -1
+
+(* A degree-6 fit on a cluster of points at |x| ~ 2^-20 with exact
+   (unrounded) monomials: the basis spans 120 binades, its double
+   inverse carries no usable error bound, so decisions fall back to
+   exact pivots — and the result still equals the reference's. *)
+let test_ill_conditioned_fallback () =
+  let powers = Array.init 7 Fun.id in
+  let points =
+    Array.init 24 (fun i ->
+        let x = Rat.of_float (Float.ldexp (1.0 +. (float_of_int i /. 17.0)) (-20)) in
+        let v = Rat.of_float (exp (Rat.to_float x)) in
+        let w = Rat.mul_pow2 Rat.one (-40) in
+        { Lp.x; lo = Rat.sub v w; hi = Rat.add v w })
+  in
+  let inst =
+    {
+      Lp.powers;
+      points;
+      initial_working = [];
+      tilt = None;
+      mono_bits = None;
+      max_added_per_round = 16;
+    }
+  in
+  let got, evs = lp_records (fun () -> Lp.solve_instance inst) in
+  let exact = List.fold_left (fun acc e -> acc + int_field "exact_pivots" e) 0 evs in
+  Alcotest.(check bool) "exact pivots ran" true (exact > 0);
+  List.iter
+    (fun (e : Diag.ev) ->
+      Alcotest.(check bool) "certified" true
+        (List.assoc_opt "certified" e.Diag.ev_fields = Some (Diag.Bool true)))
+    evs;
+  match (got, Lp.solve_instance ~maximize:Lp_dense_ref.maximize inst) with
+  | Lp.Sat (c, _), Lp.Sat (c', _) ->
+      Alcotest.(check bool) "same coefficients as the reference" true
+        (Array.for_all2 Rat.equal c c')
+  | _ -> Alcotest.fail "expected Sat from both engines"
+
+(* An infeasible verdict is returned only with a Farkas certificate that
+   checked exactly. *)
+let test_unsat_farkas () =
+  let status, st =
+    Lp.maximize_stats ~obj:[| r 1 |]
+      ~rows:[| ([| r 1 |], r 1); ([| r (-1) |], r (-2)) |]
+  in
+  Alcotest.(check bool) "infeasible" true (status = Lp.Infeasible);
+  Alcotest.(check bool) "certified" true st.Lp.certified;
+  Alcotest.(check string) "by Farkas" "farkas" st.Lp.certificate;
+  let mk x v =
+    { Lp.x = r x; lo = Rat.sub (r v) (rr 1 100); hi = Rat.add (r v) (rr 1 100) }
+  in
+  let res, evs =
+    lp_records (fun () ->
+        Lp.solve_interval_system ~powers:[| 0; 1 |] [| mk 0 0; mk 1 1; mk 2 0 |])
+  in
+  Alcotest.(check bool) "Unsat" true (res = Lp.Unsat);
+  match List.rev evs with
+  | last :: _ ->
+      Alcotest.(check string) "last solve infeasible" "lp.infeasible" last.Diag.ev_name;
+      Alcotest.(check bool) "Farkas certificate checked" true
+        (List.assoc_opt "certified" last.Diag.ev_fields = Some (Diag.Bool true)
+        && List.assoc_opt "certificate" last.Diag.ev_fields
+           = Some (Diag.String "farkas"))
+  | [] -> Alcotest.fail "no LP record"
+
 let suite =
   [
     ("basic maximization", `Quick, test_basic_max);
@@ -282,4 +488,9 @@ let suite =
     ("rounded monomials", `Quick, test_mono_bits_still_feasible);
     ("degenerate window under tilt", `Quick, test_degenerate_with_tilt);
     prop_simplex_sound;
+    prop_matches_reference;
+    ("differential coverage", `Quick, test_reference_coverage);
+    ("replayed generation matches reference", `Slow, test_replay_generation);
+    ("ill-conditioned exact fallback", `Quick, test_ill_conditioned_fallback);
+    ("unsat carries a Farkas certificate", `Quick, test_unsat_farkas);
   ]

@@ -15,7 +15,9 @@
 # and smoke-check the fault-injection substrate (an injected-ENOSPC warm
 # exits through the typed store-io code; a process aborted at a mutating
 # store operation leaves a store that fsck repairs with nothing
-# quarantined and a resumed run completes bit-identically).
+# quarantined and a resumed run completes bit-identically), and
+# smoke-check the LP engine (every solve of a traced cold generation
+# carries a passed exact certificate).
 # Usage: tools/check.sh [N]   (N = fan-out width, default 4)
 set -eu
 
@@ -310,6 +312,37 @@ for events in (cold, warm):
     assert sum(top) <= wall + 0.25, (sum(top), wall)
 EOF
 echo "trace: schema OK, warm run all-hit, output bit-identical with tracing on"
+
+echo "== LP certificate smoke (traced cold generate) =="
+# Every LP solve of a cold generation must carry an exact certificate
+# that checked: the float pivots only steer, the verdict is exact.
+lpgen=$(mktemp -d)
+trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
+       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
+       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
+       "$shardout" "$genjson" "$tracecold" "$tracewarm" "$tracenone"
+     rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir" \
+       "$tracegen" "$lpgen"' EXIT
+RLIBM_CACHE_DIR="$lpgen" dune exec --no-build bin/rlibm_gen.exe -- generate \
+  --func exp2 --scheme estrin-fma --ebits 4 --prec 7 \
+  --trace "$tracedir/lp.jsonl" -j 1 > /dev/null 2> /dev/null
+python3 - "$tracedir/lp.jsonl" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    events = [json.loads(l) for l in f if l.strip()][1:]
+solves = [e for e in events
+          if e["ev"] in ("lp.solved", "lp.infeasible", "lp.unbounded")]
+assert any(e["ev"] == "lp.solved" for e in solves), "no LP solve traced"
+for e in solves:
+    fields = e["fields"]
+    assert fields.get("certified") is True, e
+    assert fields.get("certificate") in ("optimality", "farkas", "ray"), e
+    for key in ("rows", "pivots_cum", "maxbits", "float_pivots",
+                "exact_pivots", "seconds"):
+        assert key in fields, (key, e)
+print(f"{len(solves)} LP solves, every certificate checked")
+EOF
+echo "LP: every traced solve carries a passed exact certificate"
 
 echo "== fault smoke (injected ENOSPC, kill-point resume, fsck) =="
 # Fault artifacts live at a stable path (like the trace smoke) so CI can
