@@ -26,7 +26,9 @@
      dune exec bench/main.exe -- --gen-json PATH   (cold vs warm staged
                                                     generation timings per
                                                     function, in a fresh
-                                                    store directory)
+                                                    store directory, with
+                                                    cold self seconds per
+                                                    stage)
      dune exec bench/main.exe -- --serve-bench     (serving hot path:
                                                     scalar batch vs the
                                                     zero-allocation kernel,
@@ -427,9 +429,31 @@ let rebuilt_stages () =
        (fun e -> e.Pipeline.ev_status = Pipeline.Rebuilt)
        (Pipeline.events ()))
 
+(* Self seconds per stage of one [Pipeline.verified] run, from its
+   events.  A rebuilt intervals, constraints or poly stage runs its
+   upstream stage inside its own timer, so that stage's seconds are
+   subtracted; each stage records at most one event per run. *)
+let stage_seconds events =
+  let find st = List.find_opt (fun e -> e.Pipeline.ev_stage = st) events in
+  let secs st = match find st with Some e -> e.Pipeline.ev_seconds | None -> 0. in
+  let upstream : Pipeline.stage -> Pipeline.stage option = function
+    | Intervals -> Some Oracle
+    | Constraints -> Some Intervals
+    | Poly -> Some Constraints
+    | Oracle | Verdict -> None
+  in
+  List.map
+    (fun st ->
+      match (find st, upstream st) with
+      | Some e, Some u when e.Pipeline.ev_status = Pipeline.Rebuilt ->
+          (st, e.Pipeline.ev_seconds -. secs u)
+      | _ -> (st, secs st))
+    Pipeline.all_stages
+
 type gen_timing = {
   g_func : Oracle.func;
   g_cold_s : float;
+  g_cold_stages : (Pipeline.stage * float) list;
   g_warm_s : float;
   g_cold_rebuilt : int;
   g_warm_rebuilt : int;
@@ -460,6 +484,7 @@ let measure_generation funcs =
             (Unix.gettimeofday () -. t0, rebuilt_stages (), r)
           in
           let cold_s, cold_rebuilt, cold = timed () in
+          let cold_stages = stage_seconds (Pipeline.events ()) in
           let warm_s, warm_rebuilt, warm = timed () in
           Printf.eprintf
             "%-7s cold %6.2fs (%d stages rebuilt)  warm %6.3fs (%d rebuilt)\n%!"
@@ -467,6 +492,7 @@ let measure_generation funcs =
           {
             g_func = func;
             g_cold_s = cold_s;
+            g_cold_stages = cold_stages;
             g_warm_s = warm_s;
             g_cold_rebuilt = cold_rebuilt;
             g_warm_rebuilt = warm_rebuilt;
@@ -484,10 +510,17 @@ let write_gen_json path ~jobs rows =
       List.iteri
         (fun i r ->
           Printf.fprintf oc
-            "    {\"func\": %S, \"cold_s\": %.4f, \"warm_s\": %.4f, \
-             \"cold_rebuilt_stages\": %d, \"warm_rebuilt_stages\": %d, \
-             \"warm_speedup\": %.1f, \"ok\": %b}%s\n"
-            (Oracle.name r.g_func) r.g_cold_s r.g_warm_s r.g_cold_rebuilt
+            "    {\"func\": %S, \"cold_s\": %.4f, \"cold_stage_s\": {%s}, \
+             \"warm_s\": %.4f, \"cold_rebuilt_stages\": %d, \
+             \"warm_rebuilt_stages\": %d, \"warm_speedup\": %.1f, \
+             \"ok\": %b}%s\n"
+            (Oracle.name r.g_func) r.g_cold_s
+            (String.concat ", "
+               (List.map
+                  (fun (st, sec) ->
+                    Printf.sprintf "%S: %.4f" (Pipeline.stage_name st) sec)
+                  r.g_cold_stages))
+            r.g_warm_s r.g_cold_rebuilt
             r.g_warm_rebuilt
             (if r.g_warm_s > 0.0 then r.g_cold_s /. r.g_warm_s else 0.0)
             r.g_ok

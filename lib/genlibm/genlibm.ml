@@ -370,13 +370,7 @@ let eval_bits_into (g : t) ~(src : src_buf) ~(dst : dst_buf) ~lo ~hi =
 
 (* ---------- rounding of results ---------- *)
 
-let round_result fmt mode v =
-  if Float.is_nan v then Softfp.nan_bits fmt
-  else if v = Float.infinity then Softfp.inf_bits fmt ~neg:false
-  else if v = Float.neg_infinity then Softfp.inf_bits fmt ~neg:true
-  else if v = 0.0 then
-    if 1.0 /. v < 0.0 then Softfp.neg_zero_bits fmt else Softfp.zero_bits fmt
-  else Softfp.of_rat fmt mode (Rat.of_float v)
+let round_result = Softfp.round_float
 
 (* ---------- verification ---------- *)
 

@@ -41,17 +41,19 @@ let ziv_precisions = [ 80; 128; 192; 288; 432; 648; 1000; 1600; 2600; 4096 ]
 (* A rounder memoizes the (precision-indexed) enclosures of f(x), so the
    same input can be rounded into many formats and modes — the verification
    harness's access pattern — while paying for the series evaluation only
-   once per precision level. *)
+   once per precision level.  The exact value is only looked for once
+   the range shortcut has not settled the result: 10^x at a large
+   integer x is exact but a number of hundreds of thousands of bits. *)
 type rounder = {
   r_func : func;
   r_x : Rat.t;
-  r_exact : Rat.t option;
+  r_exact : Rat.t option Lazy.t;
   mutable r_enclosures : (int * Ival.t) list; (* most precise first *)
 }
 
 let make_rounder f x =
   if not (domain_ok f x) then invalid_arg "Oracle.make_rounder: domain";
-  { r_func = f; r_x = x; r_exact = exact_value f x; r_enclosures = [] }
+  { r_func = f; r_x = x; r_exact = lazy (exact_value f x); r_enclosures = [] }
 
 let rounder_enclosure r prec =
   match List.find_opt (fun (p, _) -> p >= prec) (List.rev r.r_enclosures) with
@@ -78,7 +80,7 @@ let round_with r ~fmt ~mode =
   match range_shortcut r.r_func r.r_x ~fmt ~mode with
   | Some b -> b
   | None -> (
-      match r.r_exact with
+      match Lazy.force r.r_exact with
       | Some y -> Softfp.of_rat fmt mode y
       | None ->
           let rec ziv = function

@@ -56,7 +56,11 @@ let v_constraints = 1
    replaced the dense rational tableau); it returns the same vertices,
    but an algorithm change never reuses artifacts it did not produce. *)
 let v_poly = 3
-let v_verdict = 1
+
+(* v2: the verdict's roundings moved from Rat/Bigint [Softfp.of_rat] to
+   the native-int core [Softfp.round_dyadic]; the reports are the same,
+   but by the same rule a changed algorithm starts from fresh verdicts. *)
+let v_verdict = 2
 
 let base ~(cfg : Rlibm.Config.t) func =
   let tin = cfg.Rlibm.Config.tin and tout = Rlibm.Config.tout cfg in

@@ -110,8 +110,7 @@ let of_float x =
   else begin
     let m, e = Float.frexp x in
     (* m in [0.5, 1); m * 2^53 is an exact integer. *)
-    let mi = Int64.of_float (Float.ldexp m 53) in
-    mul_pow2 (of_bigint (B.of_string (Int64.to_string mi))) (e - 53)
+    mul_pow2 (of_int (int_of_float (Float.ldexp m 53))) (e - 53)
   end
 
 (* [approx q ~bits]: floor of |q| scaled to exactly [bits] significant bits,

@@ -1,8 +1,12 @@
-(* Parameterized software floating point on top of exact rationals.
+(* Parameterized software floating point.
 
    A pattern is stored in the low [width] bits of an int64 as
    [sign | biased exponent | fraction].  All arithmetic on the fields is
-   done in native ints (width <= 63). *)
+   done in native ints (width <= 63).  Dyadic values with a significand
+   below 2^62 (every double, every pattern of every format) round through
+   the native-int core [round_dyadic]; [of_rat] rounds arbitrary exact
+   rationals through Bigint and is the reference the core is tested
+   against. *)
 
 module B = Bigint
 
@@ -160,19 +164,97 @@ let of_rat fmt mode q =
     end
   end
 
+(* ---------- encode (native core for dyadic values) ---------- *)
+
+(* Number of significant bits of [n >= 1]. *)
+let numbits n =
+  let n = ref n and k = ref 1 in
+  if !n lsr 32 <> 0 then (n := !n lsr 32; k := !k + 32);
+  if !n lsr 16 <> 0 then (n := !n lsr 16; k := !k + 16);
+  if !n lsr 8 <> 0 then (n := !n lsr 8; k := !k + 8);
+  if !n lsr 4 <> 0 then (n := !n lsr 4; k := !k + 4);
+  if !n lsr 2 <> 0 then (n := !n lsr 2; k := !k + 2);
+  if !n lsr 1 <> 0 then k := !k + 1;
+  !k
+
+(* Second half of [round_dyadic]: [kept] multiples of 2^q survive, the
+   dropped remainder is described by its round bit and sticky bit.  The
+   pattern's (exponent, fraction) group is [(q - qmin) * 2^fw + kept]
+   for normal and subnormal results alike (a carry out of the fraction
+   bumps the exponent field), so overflow is that group reaching the
+   all-ones exponent. *)
+let finish fmt mode ~neg q kept rbit sticky =
+  let inexact = rbit || sticky in
+  let incr =
+    match mode with
+    | RNE -> rbit && (sticky || kept land 1 = 1)
+    | RNA -> rbit
+    | RTZ -> false
+    | RTU -> inexact && not neg
+    | RTD -> inexact && neg
+    | RTO -> inexact && kept land 1 = 0
+  in
+  let kept = if incr then kept + 1 else kept in
+  if kept = 0 then if neg then neg_zero_bits fmt else zero_bits fmt
+  else begin
+    let fw = fwidth fmt in
+    let befrac = ((q - (emin fmt - fw)) lsl fw) + kept in
+    if befrac >= emask fmt lsl fw then overflow_bits fmt mode ~neg
+    else Int64.of_int (((if neg then 1 else 0) lsl (width fmt - 1)) lor befrac)
+  end
+
+(* Round (-1)^neg * m * 2^e: the quantum 2^q of the result is fixed by
+   the value's exponent (clamped to the subnormal quantum), the low
+   [drop = q - e] bits of [m] are cut off.  Values at or above 2^(emax+1)
+   overflow whatever the mode. *)
+let round_dyadic fmt mode ~neg m e =
+  if m < 1 then invalid_arg "Softfp.round_dyadic: m";
+  let fw = fwidth fmt in
+  let value_exp = numbits m - 1 + e in
+  if value_exp > emax fmt then overflow_bits fmt mode ~neg
+  else begin
+    let q = Int.max (value_exp - fw) (emin fmt - fw) in
+    let drop = q - e in
+    if drop <= 0 then finish fmt mode ~neg q (m lsl -drop) false false
+    else if drop >= 63 then finish fmt mode ~neg q 0 false true
+    else
+      let half = 1 lsl (drop - 1) in
+      finish fmt mode ~neg q (m lsr drop) (m land half <> 0)
+        (m land (half - 1) <> 0)
+  end
+
 let round_float fmt mode x =
   if Float.is_nan x then nan_bits fmt
   else if x = Float.infinity then inf_bits fmt ~neg:false
   else if x = Float.neg_infinity then inf_bits fmt ~neg:true
-  else if x = 0.0 then
-    if 1.0 /. x = Float.neg_infinity then neg_zero_bits fmt else zero_bits fmt
-  else of_rat fmt mode (Rat.of_float x)
+  else begin
+    let b = Int64.bits_of_float x in
+    let neg = Int64.compare b 0L < 0 in
+    let be = Int64.to_int (Int64.shift_right_logical b 52) land 0x7ff in
+    let f = Int64.to_int b land 0xF_FFFF_FFFF_FFFF in
+    if be = 0 then
+      if f = 0 then if neg then neg_zero_bits fmt else zero_bits fmt
+      else round_dyadic fmt mode ~neg f (-1074)
+    else round_dyadic fmt mode ~neg (f lor 0x10_0000_0000_0000) (be - 1075)
+  end
 
+(* Doubles hold every finite value exactly when the format's significand
+   and exponent range fit binary64's. *)
 let to_float fmt b =
   match classify fmt b with
   | NaN -> Float.nan
   | Inf -> if sign_bit fmt b then Float.neg_infinity else Float.infinity
   | Zero -> if sign_bit fmt b then -0.0 else 0.0
+  | Subnormal | Normal when fmt.prec <= 53 && emax fmt <= 1023 ->
+      let n = Int64.to_int b in
+      let fw = fwidth fmt in
+      let be = (n lsr fw) land emask fmt in
+      let m, e =
+        if be = 0 then (n land fmask fmt, emin fmt - fw)
+        else ((n land fmask fmt) lor (1 lsl fw), be - bias fmt - fw)
+      in
+      let v = Float.ldexp (float_of_int m) e in
+      if sign_bit fmt b then -.v else v
   | Subnormal | Normal -> Rat.to_float (to_rat fmt b)
 
 (* ---------- ordering and navigation ---------- *)
@@ -214,11 +296,16 @@ let iter_finite fmt f =
 (* ---------- double rounding ---------- *)
 
 let narrow ~src ~dst mode b =
-  match classify src b with
-  | NaN -> nan_bits dst
-  | Inf -> inf_bits dst ~neg:(sign_bit src b)
-  | Zero -> if sign_bit src b then neg_zero_bits dst else zero_bits dst
-  | Subnormal | Normal -> of_rat dst mode (to_rat src b)
+  let n = Int64.to_int b in
+  let fw = fwidth src in
+  let neg = (n lsr (width src - 1)) land 1 = 1 in
+  let be = (n lsr fw) land emask src in
+  let f = n land fmask src in
+  if be = emask src then if f = 0 then inf_bits dst ~neg else nan_bits dst
+  else if be = 0 then
+    if f = 0 then if neg then neg_zero_bits dst else zero_bits dst
+    else round_dyadic dst mode ~neg f (emin src - fw)
+  else round_dyadic dst mode ~neg (f lor (1 lsl fw)) (be - bias src - fw)
 
 (* ---------- native bridges ---------- *)
 

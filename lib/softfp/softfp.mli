@@ -5,7 +5,11 @@
     representation from 10 bits up to 34 bits, (b) round exact rational
     values under all five standard rounding modes plus the non-standard
     {e round-to-odd} mode, and (c) enumerate small formats exhaustively.
-    This module provides all of that on top of exact {!Rat} arithmetic.
+    Dyadic values with a significand below [2^62] — every double and every
+    pattern of every format — round exactly in native ints
+    ({!round_dyadic}, {!round_float}, {!narrow}); {!of_rat} rounds
+    arbitrary exact {!Rat} values (such as an oracle's Ziv enclosure
+    endpoints) and is the reference the native core is tested against.
 
     A format is a sign bit, [ebits] exponent bits and [prec - 1] fraction
     bits (so [prec] counts the hidden bit, as usual: binary32 is
@@ -89,13 +93,23 @@ val to_rat : fmt -> bits -> Rat.t
     odd), matching the double-rounding construction's needs. *)
 val of_rat : fmt -> mode -> Rat.t -> bits
 
-(** [round_float fmt mode x] rounds a finite double.  NaN maps to NaN and
-    infinities to same-signed infinities. *)
+(** [round_dyadic fmt mode ~neg m e] rounds [(-1)^neg * m * 2^e] with
+    exactly {!of_rat}'s semantics, in native ints: the round and sticky
+    bits are shifts and masks of [m].  Zero results carry the sign [neg].
+    Any positive [m] is accepted, up to [max_int = 2^62 - 1].
+    @raise Invalid_argument when [m < 1]. *)
+val round_dyadic : fmt -> mode -> neg:bool -> int -> int -> bits
+
+(** [round_float fmt mode x] rounds a double: finite values as {!of_rat}
+    would round [Rat.of_float x] (through {!round_dyadic}), zeros keep
+    their sign, NaN maps to NaN and infinities to same-signed
+    infinities. *)
 val round_float : fmt -> mode -> float -> bits
 
-(** [to_float fmt b] is the double nearest to the decoded value (exact
-    whenever [prec <= 53] and the exponent range fits, which holds for all
-    formats this library uses). *)
+(** [to_float fmt b] is the double nearest to the decoded value.  When
+    [prec <= 53] and [emax <= 1023] (true of every format this library
+    uses) it is exact and computed natively; other formats go through
+    {!Rat.to_float}. *)
 val to_float : fmt -> bits -> float
 
 (** {1 Navigation and enumeration} *)
@@ -125,7 +139,9 @@ val count_finite : fmt -> int
 
 (** [narrow ~src ~dst mode b] re-rounds a value of format [src] into the
     (typically narrower) format [dst] — the "double rounding" step of
-    RLibm-All.  Infinities and NaN map to their [dst] counterparts. *)
+    RLibm-All — as [of_rat dst mode (to_rat src b)] would, through
+    {!round_dyadic}.  Zeros keep their sign; infinities and NaN map to
+    their [dst] counterparts. *)
 val narrow : src:fmt -> dst:fmt -> mode -> bits -> bits
 
 (** {1 binary32/64 bridges} *)

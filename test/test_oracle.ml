@@ -111,6 +111,19 @@ let test_overflow_underflow_shortcuts () =
     (Softfp.min_subnormal_bits fmt ~neg:false)
     (Oracle.correctly_round Oracle.Exp (Rat.neg huge) ~fmt ~mode:Softfp.RTU)
 
+(* Large integer exponents have exact but enormous values (10^65535);
+   the range shortcut must settle them, and small ones stay exact. *)
+let test_exp10_integer_range () =
+  let round x mode = Oracle.correctly_round Oracle.Exp10 (Rat.of_int x) ~fmt:fmt16 ~mode in
+  Alcotest.(check int64) "10^65535 RTO = maxfin"
+    (Softfp.max_finite_bits fmt16 ~neg:false) (round 65535 Softfp.RTO);
+  Alcotest.(check int64) "10^40000 RNE = inf"
+    (Softfp.inf_bits fmt16 ~neg:false) (round 40000 Softfp.RNE);
+  Alcotest.(check int64) "10^-65535 RTO = minsub"
+    (Softfp.min_subnormal_bits fmt16 ~neg:false) (round (-65535) Softfp.RTO);
+  Alcotest.(check (float 0.0)) "10^2 exact" 100.0
+    (Softfp.to_float fmt16 (round 2 Softfp.RTO))
+
 let test_domain () =
   Alcotest.(check bool) "log domain" false
     (Oracle.domain_ok Oracle.Log (Rat.of_int (-1)));
@@ -234,6 +247,7 @@ let suite =
     ("all rounding modes", `Quick, test_correctly_round_all_modes);
     ("exact correctly rounded", `Quick, test_correctly_round_exact);
     ("overflow/underflow shortcuts", `Quick, test_overflow_underflow_shortcuts);
+    ("exp10 at large integers", `Quick, test_exp10_integer_range);
     ("domain handling", `Quick, test_domain);
     ("float64 vs glibc", `Slow, test_float64_against_native);
     ("rounder consistency", `Quick, test_rounder_consistency);

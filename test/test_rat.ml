@@ -154,6 +154,12 @@ let props =
         req (Rat.mul a (Rat.add b c)) (Rat.add (Rat.mul a b) (Rat.mul a c)));
     prop "of_float exact round-trip" arb_finite_float (fun x ->
         Rat.to_float (Rat.of_float x) = x);
+    prop "of_float = integer significand through a decimal string"
+      arb_finite_float (fun x ->
+        let m, e = Float.frexp x in
+        let mi = Int64.of_float (Float.ldexp m 53) in
+        req (Rat.of_float x)
+          (Rat.mul_pow2 (Rat.of_string (Int64.to_string mi)) (e - 53)));
     prop "to_float_dir brackets" arb_rat (fun a ->
         let lo = Rat.to_float_dir Rat.Down a and hi = Rat.to_float_dir Rat.Up a in
         lo <= hi
