@@ -339,9 +339,18 @@ let count_post_process_wrong (horner_g : Rlibm.Generate.generated) scheme
                      red.Rlibm.Reduction.r)
               in
               let y_impl = Genlibm.round_result tout Softfp.RTO v in
-              match Hashtbl.find_opt horner_g.Rlibm.Generate.oracle x with
-              | Some y_true when not (Int64.equal y_impl y_true) -> incr wrong
-              | _ -> ())
+              (* The oracle table may be partial (a warm poly-stage hit
+                 re-attaches whatever the store holds): recompute on a
+                 miss, as Genlibm.verify does. *)
+              let y_true =
+                match Hashtbl.find_opt horner_g.Rlibm.Generate.oracle x with
+                | Some y -> y
+                | None ->
+                    Oracle.correctly_round
+                      horner_g.Rlibm.Generate.family.Rlibm.Reduction.func
+                      (Softfp.to_rat tin x) ~fmt:tout ~mode:Softfp.RTO
+              in
+              if not (Int64.equal y_impl y_true) then incr wrong)
         end)
       inputs;
     Some !wrong

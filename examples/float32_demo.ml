@@ -4,30 +4,32 @@
    Exhaustive float32 generation needs all 2^32 oracle results (the
    artifact ships them as 12 GB files); this demo instead generates from a
    stratified sample of inputs and verifies on a disjoint sample — the
-   pipeline code is identical, only the input set differs (see DESIGN.md,
-   "Scale substitutions").
+   staged pipeline is the one the exhaustive runs use, only the
+   configuration's input set differs ([Sampled]; see DESIGN.md, "Scale
+   substitutions").
 
    Run with:  dune exec examples/float32_demo.exe -- [sample-size]
    (default 40000 constraint inputs; the first run spends most of its time
-   in the oracle and caches it for later runs). *)
+   in the oracle, and the store serves later runs of the same sample). *)
 
 let () =
   let sample =
     if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 40_000
   in
   let func = Oracle.Exp2 in
-  let cfg = Rlibm.Config.float32_for func in
+  let cfg =
+    {
+      (Rlibm.Config.float32_for func) with
+      Rlibm.Config.inputs = Rlibm.Config.Sampled { count = sample; seed = 42 };
+    }
+  in
   let tin = cfg.Rlibm.Config.tin in
   Printf.printf
     "Generating %s for binary32 from %d sampled inputs (fp34 round-to-odd \
      target)...\n%!"
     (Oracle.name func) sample;
   let t0 = Unix.gettimeofday () in
-  let gen, gen_inputs =
-    Genlibm.generate_sampled ~cfg ~scheme:Polyeval.EstrinFma ~count:sample
-      ~seed:42 func
-  in
-  match gen with
+  match Pipeline.generate ~cfg ~scheme:Polyeval.EstrinFma func with
   | Error msg ->
       Printf.printf "generation failed: %s\n" (Diag.Error.to_string msg);
       exit 1
@@ -60,7 +62,7 @@ let () =
           (Unix.gettimeofday () -. t1);
         rep.Genlibm.wrong34 + rep.Genlibm.wrong_narrow
       in
-      let w1 = check "verify (generation sample)" gen_inputs in
+      let w1 = check "verify (generation sample)" (Pipeline.inputs_of cfg) in
       let fresh = Genlibm.inputs_sampled tin ~count:20_000 ~seed:2023 in
       let w2 = check "verify (fresh sample)     " fresh in
       if w1 > 0 then begin

@@ -19,7 +19,7 @@ let () =
   (* 2. Generate with the paper's best evaluation scheme integrated into
      the generation loop. *)
   let g =
-    match Genlibm.generate ~cfg ~scheme:Polyeval.EstrinFma func with
+    match Pipeline.generate ~cfg ~scheme:Polyeval.EstrinFma func with
     | Ok g -> g
     | Error msg -> failwith (Diag.Error.to_string msg)
   in

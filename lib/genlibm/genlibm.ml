@@ -40,16 +40,6 @@ let inputs_sampled fmt ~count ~seed =
   done;
   Array.of_list !acc
 
-(* ---------- generation ---------- *)
-
-let generate ?log ~(cfg : Rlibm.Config.t) ~scheme func =
-  let inputs = inputs_exhaustive cfg.tin in
-  Rlibm.Generate.run ?log ~cfg ~scheme ~func ~inputs ()
-
-let generate_sampled ?log ~(cfg : Rlibm.Config.t) ~scheme ~count ~seed func =
-  let inputs = inputs_sampled cfg.tin ~count ~seed in
-  (Rlibm.Generate.run ?log ~cfg ~scheme ~func ~inputs (), inputs)
-
 (* ---------- evaluation ---------- *)
 
 (* Binary search over the sorted native-int special table.  Returns the

@@ -9,7 +9,11 @@
     polynomial → output compensation, all in double precision.  The
     resulting double rounds correctly into every representation with
     [ebits+2 .. width tin] total bits under all five standard rounding
-    modes. *)
+    modes.
+
+    Generation itself is [Pipeline.generate] / [Pipeline.verified]
+    (lib/pipeline), which stages and persists it; this module supplies
+    its input sets and its verdict. *)
 
 type t = Rlibm.Generate.generated
 
@@ -19,30 +23,9 @@ type t = Rlibm.Generate.generated
 val inputs_exhaustive : Softfp.fmt -> int64 array
 
 (** Random patterns plus the boundary values (zeros, min subnormals, max
-    finite); for wide formats where exhaustive runs are infeasible. *)
+    finite); for wide formats where exhaustive runs are infeasible (the
+    [Sampled] input set of {!Rlibm.Config.t}). *)
 val inputs_sampled : Softfp.fmt -> count:int -> seed:int -> int64 array
-
-(** {1 Generation} *)
-
-(** [generate ~cfg ~scheme func] runs the pipeline over every finite
-    input of [cfg.tin]. *)
-val generate :
-  ?log:(string -> unit) ->
-  cfg:Rlibm.Config.t ->
-  scheme:Polyeval.scheme ->
-  Oracle.func ->
-  (t, Diag.Error.t) result
-
-(** Sampled-input variant for wide formats; also returns the inputs used,
-    for verification. *)
-val generate_sampled :
-  ?log:(string -> unit) ->
-  cfg:Rlibm.Config.t ->
-  scheme:Polyeval.scheme ->
-  count:int ->
-  seed:int ->
-  Oracle.func ->
-  (t, Diag.Error.t) result * int64 array
 
 (** {1 Evaluation} *)
 

@@ -62,11 +62,24 @@ let v_poly = 3
    but by the same rule a changed algorithm starts from fresh verdicts. *)
 let v_verdict = 2
 
+(* The input-set tag of every key whose payload depends on the input
+   set.  Empty for the exhaustive universe, so exhaustive keys (and the
+   stores warmed under them) are unchanged by the existence of sampled
+   configurations. *)
+let inputs_tag (cfg : Rlibm.Config.t) =
+  match cfg.Rlibm.Config.inputs with
+  | Rlibm.Config.Exhaustive -> ""
+  | Rlibm.Config.Sampled { count; seed } ->
+      Printf.sprintf "-smp%d.%d" count seed
+
 let base ~(cfg : Rlibm.Config.t) func =
   let tin = cfg.Rlibm.Config.tin and tout = Rlibm.Config.tout cfg in
-  Printf.sprintf "%s-in%d.%d-out%d.%d" (Oracle.name func) tin.Softfp.ebits
-    tin.Softfp.prec tout.Softfp.ebits tout.Softfp.prec
+  Printf.sprintf "%s-in%d.%d-out%d.%d%s" (Oracle.name func) tin.Softfp.ebits
+    tin.Softfp.prec tout.Softfp.ebits tout.Softfp.prec (inputs_tag cfg)
 
+(* The whole-table oracle key carries no input-set tag: the table maps
+   inputs to their correctly rounded results, whichever inputs it
+   happens to cover. *)
 let oracle_key ~(cfg : Rlibm.Config.t) func =
   Rlibm.Constraints.oracle_cache_key ~func ~tin:cfg.Rlibm.Config.tin
     ~tout:(Rlibm.Config.tout cfg)
@@ -84,8 +97,8 @@ let shard_version = 1
 let shard_range ~n ~shards k = (k * n / shards, (k + 1) * n / shards)
 
 let oracle_shard_key ~cfg ~shards ~index func =
-  Printf.sprintf "%s-sh%d.%d-shv%d" (oracle_key ~cfg func) index shards
-    shard_version
+  Printf.sprintf "%s%s-sh%d.%d-shv%d" (oracle_key ~cfg func) (inputs_tag cfg)
+    index shards shard_version
 
 let intervals_key ~cfg func =
   Printf.sprintf "%s-ivl-v%d" (base ~cfg func) v_intervals
@@ -211,7 +224,10 @@ let family_of ~(cfg : Rlibm.Config.t) func =
     ~pieces:cfg.Rlibm.Config.pieces ~table_bits:cfg.Rlibm.Config.table_bits
 
 let inputs_of (cfg : Rlibm.Config.t) =
-  Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin
+  match cfg.Rlibm.Config.inputs with
+  | Rlibm.Config.Exhaustive -> Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin
+  | Rlibm.Config.Sampled { count; seed } ->
+      Genlibm.inputs_sampled cfg.Rlibm.Config.tin ~count ~seed
 
 (* ---------- stage 1: oracle table ---------- *)
 

@@ -33,10 +33,11 @@
     [-j] — a cold run, a warm run and a resumed run all produce the same
     coefficients, special tables and verdicts.
 
-    The pipeline covers exhaustive-universe configurations (the input
-    set is every finite pattern of [cfg.tin]); the sampled binary32 path
-    stays on {!Genlibm.generate_sampled}.  Set [RLIBM_NO_DISK_CACHE] to
-    degrade every stage to compute-always (the exact unstaged path). *)
+    The input set is [cfg.inputs] ({!inputs_of}): every finite pattern
+    of [cfg.tin], or a seeded sample for formats too wide to enumerate
+    (binary32).  Set [RLIBM_NO_DISK_CACHE] (or use
+    {!Cache.with_persistence}[ false]) to degrade every stage to
+    compute-always. *)
 
 type stage = Oracle | Intervals | Constraints | Poly | Verdict
 
@@ -54,7 +55,15 @@ val stage_of_name : string -> stage option
     Exposed for tests and tooling (pair with {!Cache.path_of_key}).
     Each key covers the full set of knobs its stage depends on, plus its
     own and all upstream stage-layout versions, so a bump anywhere
-    upstream orphans exactly the downstream entries. *)
+    upstream orphans exactly the downstream entries.  A [Sampled] input
+    set adds its [(count, seed)] to every key but {!oracle_key} (the
+    whole table's values do not depend on which inputs it covers); the
+    keys of an [Exhaustive] configuration carry no input-set tag. *)
+
+val inputs_of : Rlibm.Config.t -> int64 array
+(** The input set [cfg.inputs] denotes, in the deterministic order every
+    stage consumes it: {!Genlibm.inputs_exhaustive} or
+    {!Genlibm.inputs_sampled}. *)
 
 val oracle_key : cfg:Rlibm.Config.t -> Oracle.func -> string
 val intervals_key : cfg:Rlibm.Config.t -> Oracle.func -> string

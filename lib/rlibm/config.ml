@@ -1,6 +1,11 @@
 (* Generation configuration: which input representation to cover, how many
    sub-domains, table size for the logarithmic range reduction, degree
-   search bounds, and the limits of the generate/check/constrain loop. *)
+   search bounds, the limits of the generate/check/constrain loop, and
+   which inputs of the representation to constrain. *)
+
+type inputs =
+  | Exhaustive  (** every finite pattern *)
+  | Sampled of { count : int; seed : int }  (** seeded stratified sample *)
 
 type t = {
   tin : Softfp.fmt;  (** largest input representation to support *)
@@ -12,6 +17,7 @@ type t = {
   max_degree : int;
   max_rounds : int;  (** bound N of Algorithm 2 *)
   max_specials : int;  (** give up when more inputs need special casing *)
+  inputs : inputs;
 }
 
 (** Output format: same exponent range, [extra_bits] more precision, to be
@@ -35,6 +41,7 @@ let default_mini =
     max_degree = 6;
     max_rounds = 24;
     max_specials = 8;
+    inputs = Exhaustive;
   }
 
 (** Per-function mini presets, from the registry.  Piece counts follow
@@ -66,6 +73,7 @@ let float32_for (f : Oracle.func) =
       max_degree = 6;
       max_rounds = 48;
       max_specials = 16;
+      inputs = Exhaustive;
     }
   in
   let p = (Funcspec.get f).Funcspec.float32 in

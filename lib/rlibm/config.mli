@@ -1,5 +1,12 @@
 (** Generation configuration and presets. *)
 
+(** Which inputs of [tin] generation constrains and verification checks. *)
+type inputs =
+  | Exhaustive  (** every finite pattern *)
+  | Sampled of { count : int; seed : int }
+      (** [count] seeded stratified patterns ([Genlibm.inputs_sampled]),
+          for formats too wide to enumerate (binary32) *)
+
 type t = {
   tin : Softfp.fmt;  (** largest input representation to support *)
   extra_bits : int;
@@ -10,6 +17,7 @@ type t = {
   max_degree : int;  (** degree search upper bound (paper: 6) *)
   max_rounds : int;  (** bound N of Algorithm 2's loop *)
   max_specials : int;  (** special-case input budget per piece *)
+  inputs : inputs;  (** the input set ({!Exhaustive} in every preset) *)
 }
 
 (** The round-to-odd target: same exponent range as [tin] with
@@ -27,5 +35,6 @@ val default_mini : t
 (** Per-function presets over {!mini_tin}. *)
 val mini_for : Oracle.func -> t
 
-(** binary32 presets (sampled generation; see DESIGN.md on scale). *)
+(** binary32 presets.  Exhaustive binary32 generation is out of scope;
+    set [inputs] to [Sampled] (see DESIGN.md on scale). *)
 val float32_for : Oracle.func -> t

@@ -104,11 +104,10 @@ let persist_oracle_table ~func ~(tin : Softfp.fmt) ~(tout : Softfp.fmt) =
 
 (* ---------- stage bodies ----------
 
-   [build] used to fuse three conceptually distinct computations: the
-   Ziv-loop oracle evaluations, the rounding-interval construction, and
-   the pull-back/CalculatePhi merge.  They are now separate pure bodies
+   Three separate pure bodies — the Ziv-loop oracle evaluations, the
+   rounding-interval construction, and the pull-back/CalculatePhi merge —
    so the staged artifact pipeline (lib/pipeline) can persist and resume
-   each one independently; [build] composes them unchanged. *)
+   each one independently. *)
 
 (* Stage body 1, per-range form: the round-to-odd result of every
    finite, non-shortcut input of [inputs.(lo .. hi-1)] not claimed by
@@ -263,16 +262,3 @@ let combine ~(cfg : Config.t) ~(family : Reduction.t)
       points
   in
   (points, !specials)
-
-let build ~(cfg : Config.t) ~(family : Reduction.t) ~(inputs : int64 array) =
-  let tin = cfg.tin and tout = Config.tout cfg in
-  let oracle = oracle_table ~func:family.func ~tin ~tout in
-  ignore (ensure_oracle ~cfg ~family ~inputs ~oracle : int);
-  (* Best-effort on this legacy composed path; the pipeline collects
-     publish failures at its own call sites. *)
-  ignore
-    (persist_oracle_table ~func:family.func ~tin ~tout
-      : (unit, Diag.Error.t) result);
-  let rivals = rounding_intervals ~cfg ~family ~inputs ~oracle in
-  let points, immediate_specials = combine ~cfg ~family ~rivals in
-  { points; immediate_specials; oracle }

@@ -21,6 +21,7 @@ type point = {
   mutable xs : int64 list;  (** input patterns merged into this point *)
 }
 
+(** The constraint stage's product, with the oracle table re-attached. *)
 type build_result = {
   points : point array array;
       (** per piece, sorted by reduced input; intervals are nonempty *)
@@ -30,8 +31,8 @@ type build_result = {
           decoded oracle result, which always lies in the rounding
           interval *)
   oracle : (int64, int64) Hashtbl.t;
-      (** input bits -> round-to-odd result bits, for every non-shortcut
-          input *)
+      (** input bits -> round-to-odd result bits: the shared stage-1
+          table ({!oracle_table}) *)
 }
 
 (** [reduced_interval red iv] pulls [iv] back through [red]'s output
@@ -41,25 +42,15 @@ type build_result = {
 val reduced_interval :
   Reduction.reduced -> Intervals.t -> (float * float) option
 
-(** [build ~cfg ~family ~inputs] assembles the merged constraint set for
-    the given input patterns (finite ones; others are ignored).
-
-    The per-input oracle evaluations and interval pull-backs fan out
-    across the {!Parallel} pool; the CalculatePhi merge runs on the
-    driver in input order, so the result is bit-identical for every job
-    count.  [build] is the composition of the three stage bodies below;
-    the staged pipeline (lib/pipeline) calls them separately so each
-    product persists and resumes on its own. *)
-val build :
-  cfg:Config.t ->
-  family:Reduction.t ->
-  inputs:int64 array ->
-  build_result
-
 (** {1 Stage bodies}
 
-    Pure computations (no disk I/O beyond the shared oracle memo the
-    caller hands in) with the same determinism contract as [build]. *)
+    The three pure bodies the staged pipeline (lib/pipeline) sequences
+    and persists one by one: {!ensure_oracle} (or its per-range form
+    {!oracle_range}), {!rounding_intervals}, then {!combine}.  No disk
+    I/O beyond the shared oracle memo the caller hands in.  Per-input
+    work fans out across the {!Parallel} pool and results are assembled
+    on the driver in input order, so every product is bit-identical for
+    every job count. *)
 
 (** [oracle_range ~cfg ~family ~inputs ~lo ~hi ~known] computes the
     round-to-odd result of every finite, non-shortcut input of

@@ -439,14 +439,3 @@ let assemble ~(cfg : Config.t) ~scheme ~func
     rounds = sv.sv_rounds;
     n_constraints = sv.sv_n_constraints;
   }
-
-let run ?log ~(cfg : Config.t) ~scheme ~func ~(inputs : int64 array) () =
-  let tout = Config.tout cfg in
-  let family =
-    Reduction.make func ~out_fmt:tout ~pieces:cfg.pieces
-      ~table_bits:cfg.table_bits
-  in
-  let built = Constraints.build ~cfg ~family ~inputs in
-  match solve ?log ~cfg ~scheme ~func ~built () with
-  | Error _ as e -> e
-  | Ok sv -> Ok (assemble ~cfg ~scheme ~func ~oracle:built.oracle sv)

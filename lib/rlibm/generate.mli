@@ -11,7 +11,9 @@
     inputs; the loop keeps the candidate with the fewest violated inputs
     (the cheap analogue of the artifact's minimal-specials search, helped
     by a random objective tilt that walks near-optimal LP vertices).
-    {!run} drives the per-piece degree escalation. *)
+    {!solve} drives the per-piece degree escalation over a built
+    constraint set and {!assemble} makes the result runnable; the staged
+    pipeline (lib/pipeline) sequences and persists them. *)
 
 type piece_outcome =
   | Done of {
@@ -47,7 +49,10 @@ type generated = {
   spec_vals : float array;  (** results matching [spec_keys] by index *)
   oracle : (int64, int64) Hashtbl.t;
       (** oracle round-to-odd results collected during generation; shared
-          with verification *)
+          with verification.  Possibly partial (even empty): a warm
+          polynomial-stage hit re-attaches whatever the store's oracle
+          table holds, so readers must fall back to
+          {!Oracle.correctly_round} on a miss. *)
   degrees : int array;  (** per piece *)
   rounds : int array;  (** generation rounds used, per piece *)
   n_constraints : int array;  (** merged constraint points, per piece *)
@@ -99,17 +104,3 @@ val assemble :
   oracle:(int64, int64) Hashtbl.t ->
   solved ->
   generated
-
-(** [run ~cfg ~scheme ~func ~inputs ()] generates the full piecewise
-    approximation for [func] over the given input patterns:
-    {!Constraints.build}, then {!solve}, then {!assemble}.  [Error]
-    identifies the piece that could not be satisfied within [cfg]'s
-    degree/round/special budgets (see {!solve}). *)
-val run :
-  ?log:(string -> unit) ->
-  cfg:Config.t ->
-  scheme:Polyeval.scheme ->
-  func:Oracle.func ->
-  inputs:int64 array ->
-  unit ->
-  (generated, Diag.Error.t) result

@@ -44,7 +44,9 @@ type stored_entry = {
   se_table : float array option;  (* log-family reduction table *)
 }
 
-let snapshot_version = 1
+(* v2: [Rlibm.Config.t] gained the [inputs] field, so v1 blobs marshal
+   a [se_cfg] of the old layout and must be orphaned, not decoded. *)
+let snapshot_version = 2
 
 let snapshot_key specs =
   let polys =

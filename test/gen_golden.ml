@@ -4,44 +4,26 @@
 
    Run after an intentional codegen change, review the diff, commit.
    Generation is deterministic (seeded RNG, fixed knobs), so the output
-   is a pure function of the case list below — keep it in sync with
-   test_codegen.ml. *)
-
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
-
-let piecewise_log_cfg = { tiny_cfg with Rlibm.Config.pieces = 2 }
-
-let cases =
-  [
-    ("exp_estrin_fma", Oracle.Exp, Polyeval.EstrinFma, tiny_cfg);
-    ("log2_piecewise", Oracle.Log2, Polyeval.Horner, piecewise_log_cfg);
-  ]
+   is a pure function of [Test_util.golden_cases], the case list
+   test_codegen.ml checks. *)
 
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
-  Cache.with_persistence false (fun () ->
-      List.iter
-        (fun (name, func, scheme, cfg) ->
-          match Genlibm.generate ~cfg ~scheme func with
-          | Error msg ->
-              Printf.eprintf "%s: generation failed: %s\n" name
-                (Diag.Error.to_string msg);
-              exit 1
-          | Ok g ->
-              let emitted = "rlibm_" ^ Oracle.name func in
-              let write ext src =
-                let path = Filename.concat dir (name ^ ext ^ ".golden") in
-                Out_channel.with_open_bin path (fun oc ->
-                    Out_channel.output_string oc src);
-                Printf.printf "wrote %s\n" path
-              in
-              write ".c" (Codegen.to_c g ~name:emitted);
-              write ".ml" (Codegen.to_ocaml g ~name:emitted))
-        cases)
+  List.iter
+    (fun (name, func, scheme, cfg) ->
+      match Test_util.generate ~cfg ~scheme func with
+      | Error msg ->
+          Printf.eprintf "%s: generation failed: %s\n" name
+            (Diag.Error.to_string msg);
+          exit 1
+      | Ok g ->
+          let emitted = "rlibm_" ^ Oracle.name func in
+          let write ext src =
+            let path = Filename.concat dir (name ^ ext ^ ".golden") in
+            Out_channel.with_open_bin path (fun oc ->
+                Out_channel.output_string oc src);
+            Printf.printf "wrote %s\n" path
+          in
+          write ".c" (Codegen.to_c g ~name:emitted);
+          write ".ml" (Codegen.to_ocaml g ~name:emitted))
+    Test_util.golden_cases

@@ -16,22 +16,11 @@ let has_substring ~sub s =
 let dir_entries_with ~sub d =
   Sys.readdir d |> Array.to_list |> List.filter (has_substring ~sub)
 
-let dir_counter = ref 0
-
-(* Run [f] against a fresh store directory with zeroed counters, restoring
-   the previous directory afterwards (other suites share the process). *)
+(* Test_util.in_fresh_dir with zeroed counters. *)
 let in_fresh_dir f =
-  let saved = Cache.dir () in
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rlibm-cache-test-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  Cache.set_dir d;
-  Cache.reset_stats ();
-  Fun.protect ~finally:(fun () -> Cache.set_dir saved) (fun () -> f d)
+  Test_util.in_fresh_dir (fun d ->
+      Cache.reset_stats ();
+      f d)
 
 let check_counts ~hits ~misses ~corrupt () =
   let s = Cache.stats () in
@@ -194,14 +183,7 @@ let test_concurrent_writers () =
 
 (* ---------- acceptance: poisoning never changes generated output ---------- *)
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_util.tiny_cfg
 
 (* Everything observable about a generated function, as exact bits (same
    shape as the determinism fingerprint in test_parallel.ml). *)
@@ -223,14 +205,23 @@ let fingerprint (g : Rlibm.Generate.generated) =
   in
   (coeffs, Array.to_list g.Rlibm.Generate.degrees, specials, oracle)
 
+(* One generation through the store (this test is about the store, so
+   persistence stays on), with a fresh in-process memo and event log. *)
 let generate_and_verify () =
   Rlibm.Constraints.clear_memory_cache ();
-  match Genlibm.generate ~cfg:tiny_cfg ~scheme:Polyeval.Estrin Oracle.Exp2 with
+  Pipeline.reset_events ();
+  match Pipeline.generate ~cfg:tiny_cfg ~scheme:Polyeval.Estrin Oracle.Exp2 with
   | Error err -> Alcotest.failf "generation failed: %s" (Diag.Error.to_string err)
   | Ok g ->
       let inputs = Genlibm.inputs_exhaustive tiny_cfg.Rlibm.Config.tin in
       let rep = Genlibm.verify g ~inputs in
       (fingerprint g, rep)
+
+let stage_status stage =
+  List.find_map
+    (fun (ev : Pipeline.event) ->
+      if ev.ev_stage = stage then Some ev.ev_status else None)
+    (Pipeline.events ())
 
 let test_poisoned_cache_bit_identity () =
   in_fresh_dir (fun d ->
@@ -246,6 +237,17 @@ let test_poisoned_cache_bit_identity () =
       (* warm run: disk hit, still bit-identical *)
       let warm, warm_rep = generate_and_verify () in
       Alcotest.(check bool) "warm = cold" true (warm = cold && warm_rep = cold_rep);
+      Alcotest.(check bool) "warm run is a poly-stage hit" true
+        (stage_status Pipeline.Poly = Some Pipeline.Hit);
+      (* Drop the downstream stage entries so the regeneration has to go
+         through the oracle table instead of a poly-stage hit. *)
+      List.iter
+        (fun key -> Sys.remove (Cache.path_of_key key))
+        [
+          Pipeline.intervals_key ~cfg:tiny_cfg Oracle.Exp2;
+          Pipeline.constraints_key ~cfg:tiny_cfg Oracle.Exp2;
+          Pipeline.poly_key ~cfg:tiny_cfg ~scheme:Polyeval.Estrin Oracle.Exp2;
+        ];
       (* poison the payload and regenerate: the store must reject,
          quarantine, recompute — and the output must not move a bit *)
       let b = Bytes.of_string (read_file path) in
@@ -254,6 +256,10 @@ let test_poisoned_cache_bit_identity () =
       write_file path (Bytes.to_string b);
       Cache.reset_stats ();
       let poisoned, poisoned_rep = generate_and_verify () in
+      Alcotest.(check bool) "oracle stage rebuilt" true
+        (stage_status Pipeline.Oracle = Some Pipeline.Rebuilt);
+      Alcotest.(check bool) "poly stage computed from it" true
+        (stage_status Pipeline.Poly = Some Pipeline.Rebuilt);
       Alcotest.(check bool) "coefficients/specials/oracle bit-identical" true
         (poisoned = cold);
       Alcotest.(check bool) "verification verdicts identical" true

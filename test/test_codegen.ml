@@ -9,26 +9,8 @@
 
      dune exec test/gen_golden.exe
 
-   review the diff and commit it.  Keep [cases] in sync with
-   gen_golden.ml. *)
-
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
-
-(* Two pieces force the piecewise emission branch of both backends. *)
-let piecewise_log_cfg = { tiny_cfg with Rlibm.Config.pieces = 2 }
-
-let cases =
-  [
-    ("exp_estrin_fma", Oracle.Exp, Polyeval.EstrinFma, tiny_cfg);
-    ("log2_piecewise", Oracle.Log2, Polyeval.Horner, piecewise_log_cfg);
-  ]
+   review the diff and commit it.  The case list is
+   [Test_util.golden_cases], shared with gen_golden.ml. *)
 
 let gen_cache : (string, Rlibm.Generate.generated) Hashtbl.t = Hashtbl.create 4
 
@@ -36,10 +18,7 @@ let generate_case (name, func, scheme, cfg) =
   match Hashtbl.find_opt gen_cache name with
   | Some g -> g
   | None -> (
-      match
-        Cache.with_persistence false (fun () ->
-            Genlibm.generate ~cfg ~scheme func)
-      with
+      match Test_util.generate ~cfg ~scheme func with
       | Error msg ->
           Alcotest.failf "%s: generation failed: %s" name
             (Diag.Error.to_string msg)
@@ -105,7 +84,7 @@ let test_hex_roundtrip () =
             table
       | Rlibm.Reduction.Exp_params { log2_base } ->
           check_const (name ^ " log2_base") log2_base)
-    cases
+    Test_util.golden_cases
 
 (* Emitted constants appear verbatim in both backends (same %h text). *)
 let test_constants_emitted () =
@@ -132,7 +111,7 @@ let test_constants_emitted () =
                 true (contains ml_src lit))
             piece.Polyeval.data)
         g.Rlibm.Generate.pieces)
-    cases
+    Test_util.golden_cases
 
 (* Compile smoke: the emitted C must be an accepted C99 translation
    unit.  Silently skipped when no C compiler is on PATH (the container
@@ -159,7 +138,7 @@ let test_c_compiles () =
                    (Filename.quote c_file) (Filename.quote o_file))
             in
             Alcotest.(check int) (name ^ " compiles") 0 rc))
-      cases
+      Test_util.golden_cases
 
 let suite =
   let golden_tests =
@@ -169,7 +148,7 @@ let suite =
           (name ^ ".c matches golden", `Slow, test_golden case `C);
           (name ^ ".ml matches golden", `Slow, test_golden case `Ml);
         ])
-      cases
+      Test_util.golden_cases
   in
   golden_tests
   @ [

@@ -14,31 +14,7 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let dir_counter = ref 0
-
-let fresh_tmp_name prefix =
-  incr dir_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !dir_counter)
-
-(* Run [f] against a fresh store directory, restoring the previous one
-   afterwards (other suites share the process). *)
-let in_fresh_dir f =
-  let saved = Cache.dir () in
-  let d = fresh_tmp_name "rlibm-diag-test" in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  Cache.set_dir d;
-  Fun.protect ~finally:(fun () -> Cache.set_dir saved) (fun () -> f d)
-
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_util.tiny_cfg
 
 (* ---------- error domain basics ---------- *)
 
@@ -98,7 +74,7 @@ let test_exit_codes () =
    file (ENOTDIR) fails for every uid. *)
 let test_store_io_error () =
   let saved = Cache.dir () in
-  let blocker = fresh_tmp_name "rlibm-diag-blocker" in
+  let blocker = Test_util.fresh_tmp_name "rlibm-diag-blocker" in
   write_file blocker "not a directory";
   Cache.set_dir (Filename.concat blocker "store");
   Fun.protect
@@ -129,7 +105,7 @@ let build_then_corrupt specs =
   write_file path (Bytes.to_string b)
 
 let test_corrupt_snapshot_is_typed () =
-  in_fresh_dir (fun d ->
+  Test_util.in_fresh_dir (fun d ->
       let specs = [ (Oracle.Exp2, Polyeval.Horner, tiny_cfg) ] in
       build_then_corrupt specs;
       (* strict mode: the store must reject the entry and Serve.build
@@ -158,7 +134,7 @@ let test_corrupt_snapshot_is_typed () =
    quarantined, a serve.degraded warn is emitted, and the build
    regenerates through the (warm) pipeline instead of failing. *)
 let test_corrupt_snapshot_degrades_by_default () =
-  in_fresh_dir (fun d ->
+  Test_util.in_fresh_dir (fun d ->
       let specs = [ (Oracle.Exp2, Polyeval.Horner, tiny_cfg) ] in
       build_then_corrupt specs;
       let sink, drain = Diag.memory_sink ~min_level:Diag.Warn () in
@@ -281,7 +257,7 @@ let stage_ends evs =
     evs
 
 let test_warm_run_emits_only_hits () =
-  in_fresh_dir (fun _d ->
+  Test_util.in_fresh_dir (fun _d ->
       let gen () =
         Rlibm.Constraints.clear_memory_cache ();
         match
@@ -325,7 +301,7 @@ let test_warm_run_emits_only_hits () =
 (* ---------- JSONL trace sink ---------- *)
 
 let test_trace_sink () =
-  let path = fresh_tmp_name "rlibm-diag-trace" ^ ".jsonl" in
+  let path = Test_util.fresh_tmp_name "rlibm-diag-trace" ^ ".jsonl" in
   let sink =
     match Diag.trace_sink ~jobs:3 path with
     | Ok s -> s

@@ -5,22 +5,6 @@
    site and assert the store stays loadable and a resumed run is
    bit-identical to an uninterrupted one. *)
 
-let dir_counter = ref 0
-
-let fresh_dir_name () =
-  incr dir_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "rlibm-fault-test-%d-%d" (Unix.getpid ()) !dir_counter)
-
-(* Run [f] against a fresh store directory, restoring the previous one
-   afterwards (other suites share the process). *)
-let in_fresh_dir f =
-  let saved = Cache.dir () in
-  let d = fresh_dir_name () in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  Cache.set_dir d;
-  Fun.protect ~finally:(fun () -> Cache.set_dir saved) (fun () -> f d)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -41,14 +25,7 @@ let plan_of spec =
   | Ok p -> p
   | Error msg -> Alcotest.failf "plan %S rejected: %s" spec msg
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_util.tiny_cfg
 
 (* A silent sink so injected-failure warns do not spam the test log;
    returns the drained events for assertions. *)
@@ -97,7 +74,7 @@ let test_plan_syntax () =
 (* ---------- EINTR and short transfers are absorbed ---------- *)
 
 let test_eintr_and_short_transfers () =
-  in_fresh_dir (fun _d ->
+  Test_util.in_fresh_dir (fun _d ->
       Cache.reset_stats ();
       let value = List.init 200 (fun i -> i * i) in
       let plan =
@@ -129,7 +106,7 @@ let test_eintr_and_short_transfers () =
 (* ---------- bounded deterministic retry ---------- *)
 
 let test_transient_retry_recovers () =
-  in_fresh_dir (fun _d ->
+  Test_util.in_fresh_dir (fun _d ->
       Cache.reset_stats ();
       let (), evs =
         with_quiet_sink (fun () ->
@@ -154,7 +131,7 @@ let test_transient_retry_recovers () =
       | _ -> Alcotest.fail "entry not readable after retried publish")
 
 let test_sticky_enospc_surfaces_store_io () =
-  in_fresh_dir (fun d ->
+  Test_util.in_fresh_dir (fun d ->
       Cache.reset_stats ();
       let r, _ =
         with_quiet_sink (fun () ->
@@ -186,7 +163,7 @@ let test_sticky_enospc_surfaces_store_io () =
 (* A torn write (crash mid-write model) must never publish: the entry
    either does not exist or validates — never garbage. *)
 let test_torn_write_never_publishes () =
-  in_fresh_dir (fun d ->
+  Test_util.in_fresh_dir (fun d ->
       let r, _ =
         with_quiet_sink (fun () ->
             Fault.with_plan (plan_of "write@1+=torn:5") (fun () ->
@@ -204,7 +181,7 @@ let test_torn_write_never_publishes () =
 
 let test_mut_census_is_stable () =
   let census () =
-    in_fresh_dir (fun _d ->
+    Test_util.in_fresh_dir (fun _d ->
         Fault.with_plan [] (fun () ->
             (match Cache.store ~kind:"test" ~key:"census" [ 42 ] with
             | Ok () -> ()
@@ -220,7 +197,7 @@ let test_mut_census_is_stable () =
 (* ---------- stale temp reaping ---------- *)
 
 let test_stale_temps_reaped_on_first_touch () =
-  in_fresh_dir (fun d ->
+  Test_util.in_fresh_dir (fun d ->
       let dead = Filename.concat d "key-a.tmp-999999-0" in
       let own =
         Filename.concat d
@@ -253,7 +230,7 @@ let fsck_ok ?repair ?max_age () =
   | Error e -> Alcotest.failf "fsck failed: %s" (Diag.Error.to_string e)
 
 let test_fsck_validates_and_quarantines () =
-  in_fresh_dir (fun d ->
+  Test_util.in_fresh_dir (fun d ->
       (match Cache.store ~kind:"test" ~key:"good-entry" [ 1; 2; 3 ] with
       | Ok () -> ()
       | Error e -> Alcotest.failf "store failed: %s" (Diag.Error.to_string e));
@@ -290,7 +267,7 @@ let test_fsck_validates_and_quarantines () =
       Alcotest.(check int) "good entry still valid" 1 r2.Cache.fk_valid)
 
 let test_fsck_repair_reaps () =
-  in_fresh_dir (fun d ->
+  Test_util.in_fresh_dir (fun d ->
       let stale = Filename.concat d "k.tmp-999999-0" in
       let corpse = Filename.concat d "k.corrupt-999999-0" in
       write_file stale "x";
@@ -326,7 +303,7 @@ let all_store_io errs =
     errs
 
 let test_warm_reports_enospc () =
-  in_fresh_dir (fun _d ->
+  Test_util.in_fresh_dir (fun _d ->
       Rlibm.Constraints.clear_memory_cache ();
       let r, _ =
         with_quiet_sink (fun () ->
@@ -345,7 +322,7 @@ let test_warm_reports_enospc () =
             (all_store_io report.Pipeline.wm_store_failed))
 
 let test_warm_reports_shard_publish_failures () =
-  in_fresh_dir (fun _d ->
+  Test_util.in_fresh_dir (fun _d ->
       Rlibm.Constraints.clear_memory_cache ();
       let r, _ =
         with_quiet_sink (fun () ->
@@ -367,7 +344,7 @@ let test_warm_reports_shard_publish_failures () =
    file (ENOTDIR) fails for every uid. *)
 let test_warm_reports_unwritable_store () =
   let saved = Cache.dir () in
-  let blocker = fresh_dir_name () in
+  let blocker = Test_util.fresh_tmp_name "rlibm-fault-test" in
   write_file blocker "not a directory";
   Cache.set_dir (Filename.concat blocker "store");
   Fun.protect
@@ -431,7 +408,7 @@ let test_kill_point_sweep () =
   if not (Sys.file_exists rlibm_gen_exe) then
     Alcotest.failf "rlibm_gen binary not found at %s" rlibm_gen_exe;
   (* The uninterrupted control run. *)
-  let control = fresh_dir_name () in
+  let control = Test_util.fresh_tmp_name "rlibm-fault-test" in
   (try Sys.mkdir control 0o755 with Sys_error _ -> ());
   let rc = run_child ~jobs:1 control in
   if rc <> 0 then begin
@@ -447,7 +424,7 @@ let test_kill_point_sweep () =
     if site > 64 then
       Alcotest.failf "sweep did not terminate after %d sites" (site - 1)
     else begin
-      let d = fresh_dir_name () in
+      let d = Test_util.fresh_tmp_name "rlibm-fault-test" in
       (try Sys.mkdir d 0o755 with Sys_error _ -> ());
       let rc =
         run_child ~fault:(Printf.sprintf "mut@%d=abort" site) ~jobs:1 d

@@ -5,16 +5,8 @@
    targeted behaviour tests. *)
 
 (* An even smaller universe than Config.mini keeps the integration tests
-   fast: 11-bit inputs, 13-bit round-to-odd target, 1984 finite inputs. *)
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
-
+   fast: 11-bit inputs, 13-bit round-to-odd target, 1920 finite inputs. *)
+let tiny_cfg = Test_util.tiny_cfg
 let tiny = tiny_cfg.Rlibm.Config.tin
 let inputs = lazy (Genlibm.inputs_exhaustive tiny)
 
@@ -28,7 +20,7 @@ let generate_ok func scheme =
     match Hashtbl.find_opt gen_cache (func, scheme) with
     | Some r -> r
     | None ->
-        let r = Genlibm.generate ~cfg:tiny_cfg ~scheme func in
+        let r = Test_util.generate ~cfg:tiny_cfg ~scheme func in
         Hashtbl.replace gen_cache (func, scheme) r;
         r
   in

@@ -6,15 +6,7 @@
    reduction scratch against the allocating wrapper, and seeded sampled
    binary32 batches (multi-piece counting-sort path). *)
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
-
+let tiny_cfg = Test_util.tiny_cfg
 let tiny = tiny_cfg.Rlibm.Config.tin
 
 (* Generation is expensive and several tests share a function; memoize
@@ -30,7 +22,7 @@ let generate_ok func scheme =
     match Hashtbl.find_opt gen_cache (func, scheme) with
     | Some r -> r
     | None ->
-        let r = Genlibm.generate ~cfg:tiny_cfg ~scheme func in
+        let r = Test_util.generate ~cfg:tiny_cfg ~scheme func in
         Hashtbl.replace gen_cache (func, scheme) r;
         r
   in
@@ -142,30 +134,13 @@ let test_bounds_rejected () =
 
 (* ---------- serve batch kernels at -j 1 and -j 4 ---------- *)
 
-let fresh_cache_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rlibm-kernels-test-%d-%d" (Unix.getpid ()) !n)
-    in
-    (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-
-let with_cache_dir f =
-  let prev = Cache.dir () in
-  Cache.set_dir (fresh_cache_dir ());
-  Fun.protect ~finally:(fun () -> Cache.set_dir prev) f
-
 let with_jobs j f =
   let prev = Parallel.jobs () in
   Parallel.set_jobs j;
   Fun.protect ~finally:(fun () -> Parallel.set_jobs prev) f
 
 let test_serve_batch_into_jobs () =
-  with_cache_dir (fun () ->
+  Test_util.in_fresh_dir (fun _ ->
       let specs =
         [
           (Oracle.Exp2, Polyeval.EstrinFma, tiny_cfg);
@@ -260,19 +235,20 @@ let test_reduce_into_matches_reduce () =
 (* ---------- sampled binary32 (multi-piece, wide exponents) ---------- *)
 
 let test_binary32_sampled func =
-  let cfg = Rlibm.Config.float32_for func in
-  let r, sampled =
-    Genlibm.generate_sampled ~cfg ~scheme:Polyeval.EstrinFma ~count:250
-      ~seed:11 func
+  let cfg =
+    {
+      (Rlibm.Config.float32_for func) with
+      Rlibm.Config.inputs = Rlibm.Config.Sampled { count = 250; seed = 11 };
+    }
   in
-  match r with
+  match Test_util.generate ~cfg ~scheme:Polyeval.EstrinFma func with
   | Error msg ->
       Alcotest.failf "%s binary32 sampled generation failed: %s"
         (Oracle.name func)
         (Diag.Error.to_string msg)
   | Ok g ->
       let name = Printf.sprintf "%s/binary32" (Oracle.name func) in
-      check_bit_identity (name ^ " sampled") g sampled;
+      check_bit_identity (name ^ " sampled") g (Pipeline.inputs_of cfg);
       (* a fresh seeded batch over the whole 32-bit pattern space:
          non-finite rows, patterns the generator never saw, every
          piece of the piecewise polynomial *)

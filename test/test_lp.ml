@@ -367,8 +367,7 @@ let test_replay_generation () =
       let gen =
         Lp.with_recorder
           (fun inst -> recorded := inst :: !recorded)
-          (fun () ->
-            Cache.with_persistence false (fun () -> Genlibm.generate ~cfg ~scheme func))
+          (fun () -> Test_util.generate ~cfg ~scheme func)
       in
       Alcotest.(check bool) "generation ok" true (Result.is_ok gen);
       Alcotest.(check bool) "solves recorded" true (!recorded <> []);

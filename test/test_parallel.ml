@@ -127,15 +127,6 @@ let test_jobs_env_fallback () =
 
 (* ---------- end-to-end determinism: -j 1 vs -j 4 ---------- *)
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
-
 (* Everything observable about a generated function, in canonical order
    and exact bit patterns. *)
 let fingerprint (g : Rlibm.Generate.generated) =
@@ -159,29 +150,28 @@ let fingerprint (g : Rlibm.Generate.generated) =
     specials,
     oracle )
 
+(* Test_util.generate keeps the store out of the picture: a warm oracle
+   file would let the second run skip the parallel oracle computation
+   entirely, and a warm poly entry would skip the LP. *)
 let generate_at ~jobs func scheme =
   with_jobs jobs (fun () ->
       (* Re-pay the oracle construction so the fan-out actually runs. *)
       Rlibm.Constraints.clear_memory_cache ();
-      match Genlibm.generate ~cfg:tiny_cfg ~scheme func with
+      match Test_util.generate ~cfg:Test_util.tiny_cfg ~scheme func with
       | Error msg -> Alcotest.failf "generation failed: %s" (Diag.Error.to_string msg)
       | Ok g ->
           let inputs =
-            Genlibm.inputs_exhaustive tiny_cfg.Rlibm.Config.tin
+            Genlibm.inputs_exhaustive Test_util.tiny_cfg.Rlibm.Config.tin
           in
           let rep = Genlibm.verify g ~inputs in
           (fingerprint g, rep))
 
 let check_determinism func scheme () =
-  (* Keep the disk cache out of the picture: a warm file would let the
-     second run skip the parallel oracle computation entirely.  The
-     scoped override (not [Unix.putenv]) keeps the disabling local to
-     this test and safe under concurrent domains. *)
   let (coeffs1, degrees1, specials1, oracle1), rep1 =
-    Cache.with_persistence false (fun () -> generate_at ~jobs:1 func scheme)
+    generate_at ~jobs:1 func scheme
   in
   let (coeffs4, degrees4, specials4, oracle4), rep4 =
-    Cache.with_persistence false (fun () -> generate_at ~jobs:4 func scheme)
+    generate_at ~jobs:4 func scheme
   in
   Alcotest.(check (list int64)) "coefficient bits" coeffs1 coeffs4;
   Alcotest.(check (list int)) "degrees" degrees1 degrees4;

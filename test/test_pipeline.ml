@@ -4,31 +4,7 @@
    after the shallow stages completed rebuilds only the deep stages and
    still produces bit-identical output at every job count. *)
 
-let dir_counter = ref 0
-
-(* Run [f] against a fresh store directory, restoring the previous one
-   afterwards (other suites share the process). *)
-let in_fresh_dir f =
-  let saved = Cache.dir () in
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rlibm-pipeline-test-%d-%d" (Unix.getpid ())
-         !dir_counter)
-  in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  Cache.set_dir d;
-  Fun.protect ~finally:(fun () -> Cache.set_dir saved) (fun () -> f d)
-
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_util.tiny_cfg
 
 (* The function's observable artifacts as exact bits: coefficients,
    degrees and the special table.  (Deliberately not the shared oracle
@@ -143,10 +119,76 @@ let test_keys () =
   Alcotest.(check int) "five distinct keys" 5
     (List.length (List.sort_uniq compare [ o0; i0; c0; p0; v0 ]))
 
+(* ---------- sampled input sets ---------- *)
+
+(* A [Sampled] input set tags every key whose payload depends on the
+   inputs; exhaustive keys carry no tag, so stores warmed before sampled
+   configurations existed stay valid.  And a sampled generation persists
+   and resumes like any other. *)
+let test_sampled_inputs () =
+  let f = Oracle.Exp2 and scheme = Polyeval.Estrin in
+  let sampled seed =
+    {
+      tiny_cfg with
+      Rlibm.Config.inputs = Rlibm.Config.Sampled { count = 400; seed };
+    }
+  in
+  let keys cfg =
+    [
+      Pipeline.intervals_key ~cfg f;
+      Pipeline.constraints_key ~cfg f;
+      Pipeline.poly_key ~cfg ~scheme f;
+      Pipeline.verdict_key ~cfg ~scheme f;
+      Pipeline.oracle_shard_key ~cfg ~shards:4 ~index:1 f;
+    ]
+  in
+  let exhaustive = keys tiny_cfg in
+  let seed1 = keys (sampled 1) and seed2 = keys (sampled 2) in
+  List.iteri
+    (fun i e ->
+      let k1 = List.nth seed1 i and k2 = List.nth seed2 i in
+      Alcotest.(check bool) (k1 ^ " differs from the exhaustive key") true
+        (k1 <> e);
+      Alcotest.(check bool) (k1 ^ " differs from another seed's") true
+        (k1 <> k2))
+    exhaustive;
+  Alcotest.(check string) "whole-table oracle key is input-set free"
+    (Pipeline.oracle_key ~cfg:tiny_cfg f)
+    (Pipeline.oracle_key ~cfg:(sampled 1) f);
+  Alcotest.(check string) "exhaustive poly key unchanged"
+    "exp2-in4.7-out4.9-p1-tb3-estrin-d2.6-r20-sp40-ply-v3.1.1"
+    (Pipeline.poly_key ~cfg:tiny_cfg ~scheme f);
+  Test_util.in_fresh_dir (fun _d ->
+      let generate () =
+        Rlibm.Constraints.clear_memory_cache ();
+        Pipeline.reset_events ();
+        let g =
+          match Pipeline.generate ~cfg:(sampled 1) ~scheme f with
+          | Ok g -> g
+          | Error err ->
+              Alcotest.failf "sampled generation failed: %s"
+                (Diag.Error.to_string err)
+        in
+        let poly =
+          List.find_map
+            (fun (e : Pipeline.event) ->
+              if e.ev_stage = Pipeline.Poly then Some e.ev_status else None)
+            (Pipeline.events ())
+        in
+        (poly, fingerprint g)
+      in
+      let cold_poly, cold = generate () in
+      let warm_poly, warm = generate () in
+      Alcotest.(check bool) "cold run computes the poly stage" true
+        (cold_poly = Some Pipeline.Rebuilt);
+      Alcotest.(check bool) "second run is a poly hit" true
+        (warm_poly = Some Pipeline.Hit);
+      Alcotest.(check bool) "identical fingerprint" true (warm = cold))
+
 (* ---------- stage invalidation: exactly the affected stages rebuild ---------- *)
 
 let test_stage_invalidation () =
-  in_fresh_dir (fun _d ->
+  Test_util.in_fresh_dir (fun _d ->
       let cold_st, cold_fp, cold_rep = run_pass () in
       Alcotest.check status_t "cold run rebuilds every stage"
         (all_of Pipeline.Rebuilt) cold_st;
@@ -196,14 +238,14 @@ let test_resume_bit_identical () =
     (fun () ->
       (* The reference output, from an uninterrupted cold run. *)
       let reference =
-        in_fresh_dir (fun _d ->
+        Test_util.in_fresh_dir (fun _d ->
             Parallel.set_jobs 1;
             let _, fp, rep = run_pass () in
             (fp, rep))
       in
       List.iter
         (fun jobs ->
-          in_fresh_dir (fun _d ->
+          Test_util.in_fresh_dir (fun _d ->
               Parallel.set_jobs jobs;
               (* "Interrupted" run: only stages 1-2 completed. *)
               Rlibm.Constraints.clear_memory_cache ();
@@ -297,7 +339,7 @@ let test_sharded_bit_identical () =
     (fun () ->
       let okey = Pipeline.oracle_key ~cfg:tiny_cfg Oracle.Exp2 in
       let reference =
-        in_fresh_dir (fun _d ->
+        Test_util.in_fresh_dir (fun _d ->
             Parallel.set_jobs 1;
             Rlibm.Constraints.clear_memory_cache ();
             let _, fp, rep = run_pass () in
@@ -305,7 +347,7 @@ let test_sharded_bit_identical () =
       in
       List.iter
         (fun jobs ->
-          in_fresh_dir (fun _d ->
+          Test_util.in_fresh_dir (fun _d ->
               Parallel.set_jobs jobs;
               Rlibm.Constraints.clear_memory_cache ();
               let _ = oracle_ok ~shards:5 ~cfg:tiny_cfg Oracle.Exp2 in
@@ -332,7 +374,7 @@ let test_sharded_bit_identical () =
    stand in for the interrupted run; the resuming full run must load
    exactly those two shards and compute exactly the other two. *)
 let test_shard_resume () =
-  in_fresh_dir (fun _d ->
+  Test_util.in_fresh_dir (fun _d ->
       List.iter
         (fun k ->
           Rlibm.Constraints.clear_memory_cache ();
@@ -353,7 +395,7 @@ let test_shard_resume () =
             s.Cache.misses);
       (* The assembled table equals an unsharded run's. *)
       let unsharded =
-        in_fresh_dir (fun _d ->
+        Test_util.in_fresh_dir (fun _d ->
             Rlibm.Constraints.clear_memory_cache ();
             oracle_ok ~cfg:tiny_cfg Oracle.Exp2)
       in
@@ -416,12 +458,12 @@ let test_shard_concurrent () =
       Parallel.set_jobs 1;
       let okey = Pipeline.oracle_key ~cfg:tiny_cfg Oracle.Exp2 in
       let ref_bytes =
-        in_fresh_dir (fun _d ->
+        Test_util.in_fresh_dir (fun _d ->
             Rlibm.Constraints.clear_memory_cache ();
             let _, _, _ = run_pass () in
             read_file (Cache.path_of_key okey))
       in
-      in_fresh_dir (fun dir ->
+      Test_util.in_fresh_dir (fun dir ->
           let warmer log =
             Printf.sprintf
               "%s warm --func exp2 --through oracle --shards 4 --ebits 4 \
@@ -450,7 +492,7 @@ let test_shard_concurrent () =
    whose degree search cannot succeed fails the polynomial stage for
    every scheme, and each failure lands in wm_failed. *)
 let test_warm_reports_failures () =
-  in_fresh_dir (fun _d ->
+  Test_util.in_fresh_dir (fun _d ->
       Rlibm.Constraints.clear_memory_cache ();
       let doomed =
         {
@@ -508,4 +550,5 @@ let suite =
     ("concurrent warmers fill one store cooperatively", `Slow,
      test_shard_concurrent);
     ("warm reports skipped generations", `Slow, test_warm_reports_failures);
+    ("sampled input set: keys and persistence", `Slow, test_sampled_inputs);
   ]

@@ -251,19 +251,25 @@ let test_build_merges_and_covers () =
       ~table_bits:cfg.Rlibm.Config.table_bits
   in
   let inputs = Array.init 64 (fun i -> Softfp.of_ordinal cfg.Rlibm.Config.tin (i + 400)) in
-  let built = Rlibm.Constraints.build ~cfg ~family:fam ~inputs in
-  Alcotest.(check int) "two piece buckets" 2 (Array.length built.Rlibm.Constraints.points);
-  let n_pts =
-    Array.fold_left (fun acc a -> acc + Array.length a) 0 built.Rlibm.Constraints.points
+  (* An empty oracle table: [rounding_intervals] computes every entry
+     on the fly. *)
+  let rivals =
+    Rlibm.Constraints.rounding_intervals ~cfg ~family:fam ~inputs
+      ~oracle:(Hashtbl.create 64)
   in
-  let n_specials = List.length built.Rlibm.Constraints.immediate_specials in
+  let points, immediate_specials =
+    Rlibm.Constraints.combine ~cfg ~family:fam ~rivals
+  in
+  Alcotest.(check int) "two piece buckets" 2 (Array.length points);
+  let n_pts = Array.fold_left (fun acc a -> acc + Array.length a) 0 points in
+  let n_specials = List.length immediate_specials in
   let n_xs =
     Array.fold_left
       (fun acc a ->
         Array.fold_left
           (fun acc p -> acc + List.length p.Rlibm.Constraints.xs)
           acc a)
-      0 built.Rlibm.Constraints.points
+      0 points
   in
   Alcotest.(check bool) "every input accounted" true (n_xs + n_specials <= 64);
   Alcotest.(check bool) "some constraints" true (n_pts > 0);
@@ -276,7 +282,7 @@ let test_build_merges_and_covers () =
             (p.Rlibm.Constraints.lo <= p.Rlibm.Constraints.hi);
           Alcotest.(check int) "piece" pi p.Rlibm.Constraints.piece)
         pts)
-    built.Rlibm.Constraints.points
+    points
 
 let test_mini_config_sanity () =
   Alcotest.(check int) "tout width" 15 (Softfp.width tout);

@@ -3,14 +3,7 @@
    polynomial stage activity), and the batched evaluator's determinism
    contract (bit-identical to scalar eval_bits at every job count). *)
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_util.tiny_cfg
 
 let tiny = tiny_cfg.Rlibm.Config.tin
 

@@ -400,10 +400,7 @@ let test_verdict_roundings () =
       let cfg = Rlibm.Config.mini_for func in
       let tin = cfg.Rlibm.Config.tin and tout = Rlibm.Config.tout cfg in
       let g =
-        match
-          Cache.with_persistence false (fun () ->
-              Genlibm.generate ~cfg ~scheme:Polyeval.EstrinFma func)
-        with
+        match Test_util.generate ~cfg ~scheme:Polyeval.EstrinFma func with
         | Ok g -> g
         | Error e -> Alcotest.failf "generation: %s" (Diag.Error.to_string e)
       in

@@ -17,7 +17,8 @@
 # store operation leaves a store that fsck repairs with nothing
 # quarantined and a resumed run completes bit-identically), and
 # smoke-check the LP engine (every solve of a traced cold generation
-# carries a passed exact certificate).
+# carries a passed exact certificate), and smoke-check an example run
+# cold and warm through the pipeline (identical output).
 # Usage: tools/check.sh [N]   (N = fan-out width, default 4)
 set -eu
 
@@ -402,6 +403,25 @@ dune exec --no-build bin/rlibm_gen.exe -- fsck \
 grep -q ', 0 quarantined, 0 stale temps,' "$faultdir/fsck-clean.out" \
   || { echo "resumed store has findings:"; cat "$faultdir/fsck-clean.out"; exit 1; }
 echo "injected ENOSPC exits 3 typed; kill-point resume bit-identical, fsck clean"
+
+echo "== example smoke (quickstart cold / warm) =="
+# The examples generate through the staged pipeline: a cold run and a
+# warm run served by the store it filled must print the same output.
+# The temporary store also keeps example runs out of the tree.
+exdir=$(mktemp -d) && excold=$(mktemp) && exwarm=$(mktemp)
+trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
+       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
+       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
+       "$shardout" "$genjson" "$tracecold" "$tracewarm" "$tracenone" \
+       "$excold" "$exwarm"
+     rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir" \
+       "$tracegen" "$lpgen" "$exdir"' EXIT
+RLIBM_CACHE_DIR="$exdir" dune exec --no-build examples/quickstart.exe \
+  > "$excold"
+RLIBM_CACHE_DIR="$exdir" dune exec --no-build examples/quickstart.exe \
+  > "$exwarm"
+diff "$excold" "$exwarm"
+echo "quickstart: cold and warm runs print identical output"
 
 rm -rf "$tracedir" "$faultdir"
 echo "== OK =="
