@@ -28,7 +28,8 @@
                                                     function, in a fresh
                                                     store directory, with
                                                     cold self seconds per
-                                                    stage)
+                                                    stage and oracle
+                                                    results per level)
      dune exec bench/main.exe -- --serve-bench     (serving hot path:
                                                     scalar batch vs the
                                                     zero-allocation kernel,
@@ -430,7 +431,10 @@ let print_correctness grid =
    lib/pipeline — measured twice against a fresh store directory: cold
    (every stage rebuilt) and warm (every stage loaded; zero oracle
    evaluations, zero LP solves).  The in-process oracle memo is dropped
-   between the runs so the warm figure measures the disk path. *)
+   between the runs so the warm figure measures the disk path.  Each row
+   also counts the oracle results of the cold run by the level that
+   settled them ({!Oracle.Levels}: the oracle stage and the verdict's
+   look-ups of shortcut-path inputs). *)
 
 let rebuilt_stages () =
   List.length
@@ -466,6 +470,7 @@ type gen_timing = {
   g_warm_s : float;
   g_cold_rebuilt : int;
   g_warm_rebuilt : int;
+  g_levels : Oracle.Levels.t;  (* oracle results per level, cold run *)
   g_ok : bool;
 }
 
@@ -492,7 +497,9 @@ let measure_generation funcs =
             let r = Pipeline.verified ~cfg ~scheme func in
             (Unix.gettimeofday () -. t0, rebuilt_stages (), r)
           in
+          let before = Oracle.Levels.read () in
           let cold_s, cold_rebuilt, cold = timed () in
+          let levels = Oracle.Levels.diff (Oracle.Levels.read ()) before in
           let cold_stages = stage_seconds (Pipeline.events ()) in
           let warm_s, warm_rebuilt, warm = timed () in
           Printf.eprintf
@@ -505,6 +512,7 @@ let measure_generation funcs =
             g_warm_s = warm_s;
             g_cold_rebuilt = cold_rebuilt;
             g_warm_rebuilt = warm_rebuilt;
+            g_levels = levels;
             g_ok = (match (cold, warm) with Ok _, Ok _ -> true | _ -> false);
           })
         funcs)
@@ -522,7 +530,7 @@ let write_gen_json path ~jobs rows =
             "    {\"func\": %S, \"cold_s\": %.4f, \"cold_stage_s\": {%s}, \
              \"warm_s\": %.4f, \"cold_rebuilt_stages\": %d, \
              \"warm_rebuilt_stages\": %d, \"warm_speedup\": %.1f, \
-             \"ok\": %b}%s\n"
+             \"oracle_levels\": {%s}, \"ok\": %b}%s\n"
             (Oracle.name r.g_func) r.g_cold_s
             (String.concat ", "
                (List.map
@@ -532,6 +540,10 @@ let write_gen_json path ~jobs rows =
             r.g_warm_s r.g_cold_rebuilt
             r.g_warm_rebuilt
             (if r.g_warm_s > 0.0 then r.g_cold_s /. r.g_warm_s else 0.0)
+            (String.concat ", "
+               (List.map
+                  (fun (k, n) -> Printf.sprintf "%S: %d" k n)
+                  (Oracle.Levels.fields r.g_levels)))
             r.g_ok
             (if i = n - 1 then "" else ","))
         rows;

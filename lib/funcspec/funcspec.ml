@@ -5,7 +5,9 @@
    computed with outward-rounded dyadic interval arithmetic at a working
    precision a few dozen bits above the requested one; truncation errors
    of the series are added explicitly from conservative closed-form
-   remainder bounds. *)
+   remainder bounds.  Beside them sit the oracle's first-level kernels:
+   the same reductions and series in outward-rounded doubles (Fival), at
+   a fixed accuracy of about 45 bits. *)
 
 module B = Bigint
 module D = Dyadic
@@ -26,6 +28,7 @@ type spec = {
   domain_ok : Rat.t -> bool;
   exact_value : Rat.t -> Rat.t option;
   enclosure : Rat.t -> prec:int -> Ival.t;
+  fast_enclosure : float -> Fival.t;
   mini : preset;
   float32 : preset;
 }
@@ -108,34 +111,38 @@ let exp_reduced riv ~prec =
 (* ---------- cached constants ---------- *)
 
 (* Enclosure evaluation runs on worker domains during parallel oracle
-   table construction, so the shared constant cache is mutex-protected.
-   [compute] runs outside the lock (it may recurse into [cached], and a
-   duplicated computation is deterministic and merely wasted work). *)
-let const_cache : (string * int, Ival.t) Hashtbl.t = Hashtbl.create 16
-let const_cache_mutex = Mutex.create ()
+   table construction, so the shared constant caches are mutex-protected
+   (a bare top-level [Lazy] raises [CamlinternalLazy.Undefined] when two
+   domains force it at once).  [compute] runs outside the lock (it may
+   recurse into [memo], and a duplicated computation is deterministic and
+   merely wasted work). *)
+let const_mutex = Mutex.create ()
 
-let cached key ~prec compute =
+let memo tbl key compute =
   let lookup () =
-    Mutex.lock const_cache_mutex;
-    let v = Hashtbl.find_opt const_cache (key, prec) in
-    Mutex.unlock const_cache_mutex;
+    Mutex.lock const_mutex;
+    let v = Hashtbl.find_opt tbl key in
+    Mutex.unlock const_mutex;
     v
   in
   match lookup () with
   | Some v -> v
   | None ->
       let v = compute () in
-      Mutex.lock const_cache_mutex;
+      Mutex.lock const_mutex;
       (* First writer wins so every domain sees one value per key. *)
       let v =
-        match Hashtbl.find_opt const_cache (key, prec) with
+        match Hashtbl.find_opt tbl key with
         | Some v0 -> v0
         | None ->
-            Hashtbl.replace const_cache (key, prec) v;
+            Hashtbl.replace tbl key v;
             v
       in
-      Mutex.unlock const_cache_mutex;
+      Mutex.unlock const_mutex;
       v
+
+let const_cache : (string * int, Ival.t) Hashtbl.t = Hashtbl.create 16
+let cached key ~prec compute = memo const_cache (key, prec) compute
 
 (* ln 2 = 2 atanh(1/3). *)
 let ln2 ~prec =
@@ -149,6 +156,87 @@ let ln10 ~prec =
       let a = Ival.mul ~prec:wp (Ival.of_int 3) (ln2 ~prec:wp) in
       let b = Ival.mul_2exp (atanh_enclosure (Rat.of_ints 1 9) ~prec:wp) 1 in
       Ival.add ~prec:wp a b)
+
+(* Correctly rounded doubles of log2(e), log2(10), ln 2, log10(2) — the
+   family constants every reduction / threshold check shares. *)
+let log2e = 1.4426950408889634
+let log2_10 = 3.321928094887362
+let rn_ln2 = 0.6931471805599453
+let log10_2 = 0.30102999566398120
+
+(* Double-interval enclosures of the constants, from the 120-bit ones;
+   computed on first use, never at start-up. *)
+let float_consts : (string, Fival.t) Hashtbl.t = Hashtbl.create 4
+let fln2 () =
+  memo float_consts "ln2" (fun () -> Fival.of_ival (ln2 ~prec:120))
+
+let fln10 () =
+  memo float_consts "ln10" (fun () -> Fival.of_ival (ln10 ~prec:120))
+
+(* ---------- first-level kernels (double intervals) ----------
+
+   Rigorous but fixed-accuracy (a relative width of about 2^-45)
+   enclosures of f x for a double x, for the oracle's first level.  A
+   kernel answers [Fival.entire] outside the range its series bound
+   covers. *)
+
+let f_one = Fival.point 1.0
+
+(* exp(r) for |r| <= 3/4: 16 Horner steps acc_k = 1 + r acc_(k+1) / k.
+   The tail sum_(k>16) |r|^k / k! is below 1.05 |r|^17 / 17!, which is
+   below |r|^17 2^-48; the widening doubles that to absorb the rounding
+   of [pow]. *)
+let fexp_reduced r =
+  let rmax = Fival.mag r in
+  if not (rmax <= 0.75) then Fival.entire
+  else begin
+    let acc = ref f_one in
+    for k = 16 downto 1 do
+      let step = Fival.div (Fival.mul r !acc) (Fival.point (float_of_int k)) in
+      acc := Fival.add f_one step
+    done;
+    Fival.widen !acc (Float.pow rmax 17. *. 0x1p-47)
+  end
+
+(* exp of an interval: exp(t) = 2^n exp(t - n ln2), n nearest t / ln2. *)
+let fexp t =
+  if not (Fival.mag t < 1e5) then Fival.entire
+  else begin
+    let n = Float.round (t.Fival.lo /. rn_ln2) in
+    let r = Fival.sub t (Fival.mul (Fival.point n) (fln2 ())) in
+    Fival.mul_2exp (fexp_reduced r) (int_of_float n)
+  end
+
+(* ln x for a positive double, as (k, 2 atanh t) with ln x = k ln2 +
+   2 atanh(t): x = m 2^k with m in [sqrt(1/2), sqrt 2), t = (m - 1)/(m + 1),
+   |t| < 0.1716.  Twelve terms of atanh(t) = sum t^(2i+1)/(2i+1), Horner
+   in t^2; the tail is below |t|^25 / (25 (1 - t^2)), a twentieth of the
+   |t|^25 widened by. *)
+let flog_parts x =
+  let m, e = Float.frexp x in
+  let m, k = if m < 0x1.6a09e667f3bcdp-1 then (2.0 *. m, e - 1) else (m, e) in
+  let mi = Fival.point m in
+  let t = Fival.div (Fival.sub mi f_one) (Fival.add mi f_one) in
+  let tmax = Fival.mag t in
+  let two_atanh =
+    if not (tmax < 0.18) then Fival.entire
+    else begin
+      let t2 = Fival.mul t t in
+      let inv_odd i =
+        Fival.div f_one (Fival.point (float_of_int ((2 * i) + 1)))
+      in
+      let acc = ref (inv_odd 11) in
+      for i = 10 downto 0 do
+        acc := Fival.add (inv_odd i) (Fival.mul t2 !acc)
+      done;
+      Fival.mul_2exp (Fival.widen (Fival.mul t !acc) (Float.pow tmax 25.)) 1
+    end
+  in
+  (Fival.point (float_of_int k), two_atanh)
+
+let flog x =
+  let k, a = flog_parts x in
+  Fival.add (Fival.mul k (fln2 ())) a
 
 (* ---------- shared enclosure bodies ---------- *)
 
@@ -207,13 +295,6 @@ let positive x = Rat.sign x > 0
 
 (* ---------- the registry ---------- *)
 
-(* Correctly rounded doubles of log2(e), log2(10), ln 2, log10(2) — the
-   family constants every reduction / threshold check shares. *)
-let log2e = 1.4426950408889634
-let log2_10 = 3.321928094887362
-let rn_ln2 = 0.6931471805599453
-let log10_2 = 0.30102999566398120
-
 let spec_exp =
   {
     func = Exp;
@@ -227,6 +308,7 @@ let spec_exp =
       (fun x ~prec ->
         let wp = prec + 24 in
         exp_ival (Ival.of_rat ~prec:wp x) ~prec);
+    fast_enclosure = (fun x -> fexp (Fival.point x));
     mini = { pieces = 2; min_degree = 3 };
     float32 = { pieces = 16; min_degree = 3 };
   }
@@ -252,6 +334,14 @@ let spec_exp2 =
         let frac = Rat.sub x (Rat.of_int n) in
         let r = Ival.mul ~prec:wp (Ival.of_rat ~prec:wp frac) (ln2 ~prec:wp) in
         Ival.mul_2exp (exp_reduced r ~prec) n);
+    fast_enclosure =
+      (fun x ->
+        (* 2^x = 2^n exp(f ln2), n nearest x, f = x - n exact. *)
+        if not (Float.abs x < 1e5) then Fival.entire
+        else
+          let n = Float.round x in
+          let r = Fival.mul (Fival.point (x -. n)) (fln2 ()) in
+          Fival.mul_2exp (fexp_reduced r) (int_of_float n));
     mini = { pieces = 1; min_degree = 3 };
     float32 = { pieces = 16; min_degree = 3 };
   }
@@ -273,6 +363,7 @@ let spec_exp10 =
         let wp = prec + 24 in
         let t = Ival.mul ~prec:wp (Ival.of_rat ~prec:wp x) (ln10 ~prec:wp) in
         exp_ival t ~prec);
+    fast_enclosure = (fun x -> fexp (Fival.mul (Fival.point x) (fln10 ())));
     mini = { pieces = 2; min_degree = 3 };
     float32 = { pieces = 16; min_degree = 3 };
   }
@@ -287,6 +378,7 @@ let spec_log =
     (* ln x is rational only at x = 1. *)
     exact_value = (fun x -> if Rat.equal x Rat.one then Some Rat.zero else None);
     enclosure = (fun x ~prec -> log_enclosure x ~prec);
+    fast_enclosure = flog;
     mini = { pieces = 2; min_degree = 2 };
     float32 = { pieces = 1; min_degree = 4 };
   }
@@ -303,6 +395,10 @@ let spec_log2 =
       (fun x ~prec ->
         let wp = prec + 24 in
         Ival.div ~prec:wp (log_enclosure x ~prec:wp) (ln2 ~prec:wp));
+    fast_enclosure =
+      (fun x ->
+        let k, a = flog_parts x in
+        Fival.add k (Fival.div a (fln2 ())));
     mini = { pieces = 1; min_degree = 2 };
     float32 = { pieces = 1; min_degree = 4 };
   }
@@ -319,6 +415,7 @@ let spec_log10 =
       (fun x ~prec ->
         let wp = prec + 24 in
         Ival.div ~prec:wp (log_enclosure x ~prec:wp) (ln10 ~prec:wp));
+    fast_enclosure = (fun x -> Fival.div (flog x) (fln10 ()));
     mini = { pieces = 2; min_degree = 2 };
     float32 = { pieces = 1; min_degree = 4 };
   }

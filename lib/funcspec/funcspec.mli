@@ -8,8 +8,9 @@
     [Reduction], [Genlibm], the executables and the bench harness).
     This module collapses all of it into one registry: a {!spec} record
     per function carrying the name and aliases, the domain predicate,
-    the exact-value rule, the rigorous enclosure builder, the
-    range-reduction family (with its overflow/underflow threshold
+    the exact-value rule, the rigorous enclosure builders (the Bigint
+    one of the Ziv loop and the double-interval one of the oracle's
+    first level), the range-reduction family (with its overflow/underflow threshold
     scale), and the generation-config presets.  Everybody else asks
     {!get}; adding a function family is a change to this file alone
     (new constructor, new registry entry) instead of a seven-file hunt.
@@ -52,6 +53,14 @@ type spec = {
   enclosure : Rat.t -> prec:int -> Ival.t;
       (** rigorous interval around [f x], width ~[2^-prec]; only called
           on in-domain inputs *)
+  fast_enclosure : float -> Fival.t;
+      (** the oracle's first level: a rigorous double interval around
+          [f x] for an in-domain double [x], of relative width about
+          2^-45, from outward-rounded {!Fival} arithmetic (exp family:
+          reduction by [n ln2] and 16 Horner terms; log family: [m] in
+          [\[sqrt(1/2), sqrt 2)] and the atanh series in
+          [t = (m-1)/(m+1)]).  [Fival.entire] when [x] is outside the
+          kernel's range (exp family: [|x| >= 10^5]). *)
   mini : preset;  (** reduced-width exhaustive-universe preset *)
   float32 : preset;  (** binary32 sampled-generation preset *)
 }

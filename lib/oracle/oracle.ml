@@ -38,6 +38,62 @@ let huge_positive fmt (mode : Softfp.mode) =
 
 let ziv_precisions = [ 80; 128; 192; 288; 432; 648; 1000; 1600; 2600; 4096 ]
 
+(* ---------- level counters ---------- *)
+
+module Levels = struct
+  type t = {
+    shortcut : int;
+    near_one : int;
+    first_level : int;
+    exact : int;
+    ziv : (int * int) list;
+  }
+
+  let shortcut = Atomic.make 0
+  let near_one = Atomic.make 0
+  let first_level = Atomic.make 0
+  let exact = Atomic.make 0
+  let ziv = List.map (fun p -> (p, Atomic.make 0)) ziv_precisions
+
+  let read () =
+    {
+      shortcut = Atomic.get shortcut;
+      near_one = Atomic.get near_one;
+      first_level = Atomic.get first_level;
+      exact = Atomic.get exact;
+      ziv = List.map (fun (p, c) -> (p, Atomic.get c)) ziv;
+    }
+
+  let diff a b =
+    {
+      shortcut = a.shortcut - b.shortcut;
+      near_one = a.near_one - b.near_one;
+      first_level = a.first_level - b.first_level;
+      exact = a.exact - b.exact;
+      ziv = List.map2 (fun (p, x) (_, y) -> (p, x - y)) a.ziv b.ziv;
+    }
+
+  let total t =
+    List.fold_left (fun acc (_, n) -> acc + n)
+      (t.shortcut + t.near_one + t.first_level + t.exact)
+      t.ziv
+
+  let fields t =
+    [
+      ("shortcut", t.shortcut);
+      ("near_one", t.near_one);
+      ("first_level", t.first_level);
+      ("exact", t.exact);
+    ]
+    @ List.map (fun (p, n) -> (Printf.sprintf "ziv_%d" p, n)) t.ziv
+end
+
+let count c v =
+  Atomic.incr c;
+  v
+
+(* ---------- rounders ---------- *)
+
 (* A rounder memoizes the (precision-indexed) enclosures of f(x), so the
    same input can be rounded into many formats and modes — the verification
    harness's access pattern — while paying for the series evaluation only
@@ -47,13 +103,23 @@ let ziv_precisions = [ 80; 128; 192; 288; 432; 648; 1000; 1600; 2600; 4096 ]
 type rounder = {
   r_func : func;
   r_x : Rat.t;
+  r_xf : float; (* nearest double to r_x *)
+  r_fast : Fival.t Lazy.t; (* first level; entire unless r_x is a double *)
   r_exact : Rat.t option Lazy.t;
   mutable r_enclosures : (int * Ival.t) list; (* most precise first *)
 }
 
 let make_rounder f x =
   if not (domain_ok f x) then invalid_arg "Oracle.make_rounder: domain";
-  { r_func = f; r_x = x; r_exact = lazy (exact_value f x); r_enclosures = [] }
+  let xf = Rat.to_float x in
+  let r_fast =
+    lazy
+      (if Float.is_finite xf && Rat.equal (Rat.of_float xf) x then
+         (Funcspec.get f).Funcspec.fast_enclosure xf
+       else Fival.entire)
+  in
+  { r_func = f; r_x = x; r_xf = xf; r_fast; r_exact = lazy (exact_value f x);
+    r_enclosures = [] }
 
 let rounder_enclosure r prec =
   match List.find_opt (fun (p, _) -> p >= prec) (List.rev r.r_enclosures) with
@@ -65,36 +131,85 @@ let rounder_enclosure r prec =
 
 (* Range shortcut for the exponentials: avoid materializing 2^(huge).
    The threshold scale is the family's log2_base from the registry. *)
-let range_shortcut f x ~fmt ~mode =
-  match Funcspec.log2_scale f with
+let range_shortcut r ~fmt ~mode =
+  match Funcspec.log2_scale r.r_func with
   | None -> None
   | Some scale ->
-      let l2 = Rat.to_float x *. scale in
+      let l2 = r.r_xf *. scale in
       if l2 > float_of_int (Softfp.emax fmt + 2) then
         Some (huge_positive fmt mode)
       else if l2 < float_of_int (Softfp.emin fmt - fmt.Softfp.prec - 4) then
         Some (tiny_positive fmt mode)
       else None
 
+(* Near-one rule for the exponentials: when 0 < |u| < 2^-(prec+4) with
+   u = x log2_scale, f x = 2^u lies strictly between 1 and its neighbour
+   on u's side, nearer to 1 than half the gap (the gap is at least
+   2^-prec).  Every value there rounds alike in every mode, so 1 +- 2^-61
+   stands in for f x.  The first level cannot settle these inputs: its
+   enclosure of f x straddles 1. *)
+let near_one r ~fmt ~mode =
+  match Funcspec.log2_scale r.r_func with
+  | Some scale when fmt.Softfp.prec <= 56 && Rat.sign r.r_x <> 0 ->
+      if Float.abs (r.r_xf *. scale) < Float.ldexp 1.0 (-(fmt.Softfp.prec + 4))
+      then
+        let m = if Rat.sign r.r_x > 0 then (1 lsl 61) + 1 else (1 lsl 61) - 1 in
+        Some (Softfp.round_dyadic fmt mode ~neg:false m (-61))
+      else None
+  | _ -> None
+
+(* The first level: rounding is monotone, so when both endpoints of the
+   enclosure round to the same pattern, so does every value between
+   them.  An enclosure that touches zero or infinity never settles. *)
+let first_level r ~fmt ~mode =
+  let { Fival.lo; hi } = Lazy.force r.r_fast in
+  if Float.is_finite lo && Float.is_finite hi && (lo > 0. || hi < 0.) then
+    let bl = Softfp.round_float fmt mode lo in
+    if Int64.equal bl (Softfp.round_float fmt mode hi) then Some bl else None
+  else None
+
+(* The exact-value check and the Ziv loop over the Bigint enclosures;
+   returns the result with the counter of the level that settled it. *)
+let exact_or_ziv r ~fmt ~mode =
+  match Lazy.force r.r_exact with
+  | Some y -> (Levels.exact, Softfp.of_rat fmt mode y)
+  | None ->
+      let rec ziv = function
+        | [] -> failwith "Oracle: Ziv loop exhausted"
+        | (prec, c) :: rest ->
+            let iv = rounder_enclosure r prec in
+            let lo, hi = Ival.to_rats iv in
+            let bl = Softfp.of_rat fmt mode lo in
+            let bh = Softfp.of_rat fmt mode hi in
+            if Int64.equal bl bh then (c, bl) else ziv rest
+      in
+      ziv Levels.ziv
+
 let round_with r ~fmt ~mode =
-  match range_shortcut r.r_func r.r_x ~fmt ~mode with
-  | Some b -> b
+  match range_shortcut r ~fmt ~mode with
+  | Some b -> count Levels.shortcut b
   | None -> (
-      match Lazy.force r.r_exact with
-      | Some y -> Softfp.of_rat fmt mode y
-      | None ->
-          let rec ziv = function
-            | [] -> failwith "Oracle: Ziv loop exhausted"
-            | prec :: rest ->
-                let iv = rounder_enclosure r prec in
-                let lo, hi = Ival.to_rats iv in
-                let bl = Softfp.of_rat fmt mode lo in
-                let bh = Softfp.of_rat fmt mode hi in
-                if Int64.equal bl bh then bl else ziv rest
-          in
-          ziv ziv_precisions)
+      match near_one r ~fmt ~mode with
+      | Some b -> count Levels.near_one b
+      | None -> (
+          match first_level r ~fmt ~mode with
+          | Some b -> count Levels.first_level b
+          | None ->
+              let c, b = exact_or_ziv r ~fmt ~mode in
+              count c b))
 
 let correctly_round f x ~fmt ~mode = round_with (make_rounder f x) ~fmt ~mode
+
+(* The path without the near-one rule and the first level, uncounted:
+   the differential reference of the tests. *)
+module Reference = struct
+  let round_with r ~fmt ~mode =
+    match range_shortcut r ~fmt ~mode with
+    | Some b -> b
+    | None -> snd (exact_or_ziv r ~fmt ~mode)
+
+  let correctly_round f x ~fmt ~mode = round_with (make_rounder f x) ~fmt ~mode
+end
 
 let float64 f x =
   if not (Float.is_finite x) then invalid_arg "Oracle.float64: not finite";

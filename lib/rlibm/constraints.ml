@@ -116,11 +116,14 @@ let persist_oracle_table ~func ~(tin : Softfp.fmt) ~(tout : Softfp.fmt) =
    so the result is bit-identical at every job count.  With
    [known = fun _ -> false] the output is a pure function of
    (func, tin, tout, range) — which is what makes a range a
-   content-keyable shard artifact (lib/pipeline's oracle shards). *)
+   content-keyable shard artifact (lib/pipeline's oracle shards).  A
+   range that evaluated anything emits one [oracle.levels] event: how
+   many results each oracle level settled. *)
 let oracle_range ~(cfg : Config.t) ~(family : Reduction.t)
     ~(inputs : int64 array) ~lo ~hi ~(known : int64 -> bool) =
   let tin = cfg.tin and tout = Config.tout cfg in
   let slice = Array.sub inputs lo (Stdlib.max 0 (hi - lo)) in
+  let before = Oracle.Levels.read () in
   let fresh =
     Parallel.map_array
       (fun x ->
@@ -138,6 +141,14 @@ let oracle_range ~(cfg : Config.t) ~(family : Reduction.t)
                       ~fmt:tout ~mode:Softfp.RTO ))
       slice
   in
+  let levels = Oracle.Levels.diff (Oracle.Levels.read ()) before in
+  if Oracle.Levels.total levels > 0 then
+    Diag.event "oracle.levels" (fun () ->
+        ("func", Diag.String (Oracle.name family.func))
+        :: ("lo", Diag.Int lo) :: ("hi", Diag.Int hi)
+        :: List.map
+             (fun (k, n) -> (k, Diag.Int n))
+             (Oracle.Levels.fields levels));
   let pairs = ref [] in
   for i = Array.length fresh - 1 downto 0 do
     match fresh.(i) with None -> () | Some p -> pairs := p :: !pairs

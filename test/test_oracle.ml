@@ -238,6 +238,237 @@ let prop_correctly_round_brackets =
            end
          end))
 
+(* ---------- the first level against the Ziv loop ---------- *)
+
+let std_modes = Softfp.all_standard_modes
+
+(* Rounds every finite in-domain input of [tin] with index a multiple of
+   [stride] into each (format, mode) of [targets], through one rounder of
+   the full path and one of Oracle.Reference.  Returns the mismatches
+   and the level counts of the full path. *)
+let differential ~tin ~stride ~targets f =
+  let n = (1 lsl Softfp.width tin) / stride in
+  let before = Oracle.Levels.read () in
+  let bad =
+    Parallel.map_array
+      (fun x ->
+        if not (Softfp.is_finite tin x) then 0
+        else
+          let q = Softfp.to_rat tin x in
+          if not (Oracle.domain_ok f q) then 0
+          else begin
+            let r = Oracle.make_rounder f q and rr = Oracle.make_rounder f q in
+            List.fold_left
+              (fun acc (fmt, mode) ->
+                if
+                  Int64.equal (Oracle.round_with r ~fmt ~mode)
+                    (Oracle.Reference.round_with rr ~fmt ~mode)
+                then acc
+                else acc + 1)
+              0 targets
+          end)
+      (Array.init n (fun i -> Int64.of_int (i * stride)))
+  in
+  ( Array.fold_left ( + ) 0 bad,
+    Oracle.Levels.diff (Oracle.Levels.read ()) before )
+
+let all_modes_of fmts =
+  List.concat_map (fun fmt -> List.map (fun m -> (fmt, m)) std_modes) fmts
+
+(* Every mini input of every function, through one rounder, into the
+   round-to-odd target and every narrower width x five modes — the
+   verification harness's access pattern.  The first level settles
+   nearly everything that is neither exact nor a shortcut. *)
+let test_differential_mini () =
+  let tin = Rlibm.Config.mini_tin in
+  let tout = Softfp.with_extra_prec tin 2 in
+  let narrow =
+    List.init
+      (Softfp.width tin - (tin.Softfp.ebits + 2) + 1)
+      (fun i -> Softfp.make_fmt ~ebits:tin.Softfp.ebits ~prec:(2 + i))
+  in
+  let targets = (tout, Softfp.RTO) :: all_modes_of narrow in
+  List.iter
+    (fun f ->
+      let bad, lv = differential ~tin ~stride:1 ~targets f in
+      Alcotest.(check int) (Oracle.name f ^ " mismatches") 0 bad;
+      let open Oracle.Levels in
+      let rest = total lv - lv.shortcut - lv.near_one - lv.exact in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s first level %d of %d" (Oracle.name f)
+           lv.first_level rest)
+        true
+        (100 * lv.first_level >= 99 * rest))
+    Oracle.all
+
+(* Real 16-bit formats, strided: binary16 into round-to-odd binary16+2
+   and binary16 x five modes; bfloat16 likewise. *)
+let test_differential_16bit () =
+  List.iter
+    (fun (tin, stride) ->
+      let targets =
+        (Softfp.with_extra_prec tin 2, Softfp.RTO) :: all_modes_of [ tin ]
+      in
+      List.iter
+        (fun f ->
+          let bad, _ = differential ~tin ~stride ~targets f in
+          Alcotest.(check int)
+            (Printf.sprintf "%s e%d.p%d mismatches" (Oracle.name f)
+               tin.Softfp.ebits tin.Softfp.prec)
+            0 bad)
+        Oracle.all)
+    [ (Softfp.binary16, 61); (Softfp.bfloat16, 67) ]
+
+(* At 52 bits the first level's enclosures (~45 bits) never settle a
+   non-exact result: every result comes from the Ziv loop, and equals
+   the reference. *)
+let test_forced_fallback () =
+  let fmt = Softfp.make_fmt ~ebits:8 ~prec:52 in
+  let xs = [ 0.3; 1.7; -2.25; 5.5; 0.07; 11.3; 100.5; 3.1 ] in
+  let before = Oracle.Levels.read () in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun x ->
+          let q = Rat.of_float x in
+          if Oracle.domain_ok f q then
+            List.iter
+              (fun mode ->
+                Alcotest.(check int64)
+                  (Printf.sprintf "%s %h %s" (Oracle.name f) x
+                     (Softfp.mode_to_string mode))
+                  (Oracle.Reference.correctly_round f q ~fmt ~mode)
+                  (Oracle.correctly_round f q ~fmt ~mode))
+              (Softfp.RTO :: std_modes))
+        xs)
+    Oracle.all;
+  let lv = Oracle.Levels.diff (Oracle.Levels.read ()) before in
+  Alcotest.(check int) "first level settled nothing" 0
+    lv.Oracle.Levels.first_level;
+  Alcotest.(check bool) "the Ziv loop settled the rest" true
+    (List.exists (fun (_, n) -> n > 0) lv.Oracle.Levels.ziv)
+
+(* binary32 inputs where the levels meet: exponentials within a factor of
+   2^±12 of the near-one threshold, exact values, and arguments around
+   the overflow and underflow thresholds of the round-to-odd target. *)
+let prop_differential_binary32 =
+  let tout = Softfp.fp34 in
+  let f32 x = Int32.float_of_bits (Int32.bits_of_float x) in
+  let gen =
+    QCheck2.Gen.(
+      let* fidx = int_bound 5 in
+      let f = List.nth Oracle.all fidx in
+      let* kind = int_bound 2 in
+      let* u = float_range 1.0 2.0 in
+      let* neg = bool in
+      let* k = int_range (-12) 12 in
+      let x =
+        match (kind, Funcspec.log2_scale f) with
+        | 0, Some scale ->
+            (* |x log2_scale| around 2^-(prec+4) *)
+            let v = Float.ldexp u (k - tout.Softfp.prec - 5) /. scale in
+            if neg then -.v else v
+        | 1, Some scale ->
+            let edge =
+              if neg then float_of_int (Softfp.emin tout - tout.Softfp.prec - 4)
+              else float_of_int (Softfp.emax tout + 2)
+            in
+            (edge +. (float_of_int k /. 4.0) +. u -. 1.5) /. scale
+        | _, Some _ -> float_of_int k
+        | 0, None -> 1.0 +. Float.ldexp (u -. 1.5) (k - 24)
+        | 1, None -> Float.ldexp u (k * 10)
+        | _, None -> (
+            match f with
+            | Oracle.Log10 -> 10.0 ** float_of_int (abs k mod 11)
+            | _ -> Float.ldexp 1.0 (k * 10))
+      in
+      return (f, f32 x))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"binary32 edge inputs match the Ziv loop"
+       ~print:(fun (f, x) -> Printf.sprintf "%s %h" (Oracle.name f) x)
+       gen
+       (fun (f, x) ->
+         let q = Rat.of_float x in
+         (not (Oracle.domain_ok f q))
+         || List.for_all
+              (fun (fmt, mode) ->
+                Int64.equal
+                  (Oracle.correctly_round f q ~fmt ~mode)
+                  (Oracle.Reference.correctly_round f q ~fmt ~mode))
+              ((tout, Softfp.RTO)
+              :: all_modes_of [ Softfp.binary32; Softfp.bfloat16 ])))
+
+(* Every Fival operation encloses the exact result at any points of its
+   operands (here: the endpoints and a point between them). *)
+let prop_fival_encloses =
+  let gen_iv =
+    QCheck2.Gen.(
+      let* a = float_range (-1e6) 1e6 in
+      let* e = int_range (-60) 20 in
+      let* w = float_range 0.0 1.0 in
+      let* t = float_range 0.0 1.0 in
+      let lo = Float.ldexp a (e - 20) in
+      let hi = lo +. Float.abs (Float.ldexp w e) in
+      let mid = Float.min hi (lo +. (t *. (hi -. lo))) in
+      return (Fival.make lo hi, [ lo; hi; mid ]))
+  in
+  let gen = QCheck2.Gen.(triple (int_bound 5) gen_iv gen_iv) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"Fival operations enclose exact results"
+       gen
+       (fun (op, (a, xs), (b, ys)) ->
+         let inside iv q =
+           let lo, hi = Fival.to_rats iv in
+           Rat.compare lo q <= 0 && Rat.compare q hi <= 0
+         in
+         let for_pairs iv exact =
+           List.for_all
+             (fun x ->
+               List.for_all
+                 (fun y -> inside iv (exact (Rat.of_float x) (Rat.of_float y)))
+                 ys)
+             xs
+         in
+         match op with
+         | 0 -> for_pairs (Fival.add a b) Rat.add
+         | 1 -> for_pairs (Fival.sub a b) Rat.sub
+         | 2 -> for_pairs (Fival.mul a b) Rat.mul
+         | 3 ->
+             let lo, hi = Fival.to_rats b in
+             if Rat.sign lo <= 0 && Rat.sign hi >= 0 then true
+             else for_pairs (Fival.div a b) Rat.div
+         | 4 -> for_pairs (Fival.mul_2exp a 7) (fun x _ -> Rat.mul_pow2 x 7)
+         | _ ->
+             let e = Float.abs b.Fival.hi in
+             for_pairs (Fival.widen a e) (fun x _ -> Rat.add x (Rat.of_float e))
+             && for_pairs (Fival.widen a e) (fun x _ -> Rat.sub x (Rat.of_float e))))
+
+(* The first-level kernels contain the 120-bit Ziv enclosure, so they
+   enclose f x. *)
+let prop_fast_enclosure_contains =
+  let gen =
+    QCheck2.Gen.(
+      let* fidx = int_bound 5 in
+      let f = List.nth Oracle.all fidx in
+      let* x =
+        if Funcspec.is_exp_family f then float_range (-40.0) 40.0
+        else map (fun e -> Float.exp2 e) (float_range (-60.0) 60.0)
+      in
+      return (f, x))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"first-level kernels enclose f x"
+       ~print:(fun (f, x) -> Printf.sprintf "%s %h" (Oracle.name f) x)
+       gen
+       (fun (f, x) ->
+         let q = Rat.of_float x in
+         let fast = (Funcspec.get f).Funcspec.fast_enclosure x in
+         let flo, fhi = Fival.to_rats fast in
+         let lo, hi = Ival.to_rats (Oracle.enclosure f q ~prec:120) in
+         Rat.compare flo lo <= 0 && Rat.compare hi fhi <= 0))
+
 let suite =
   [
     ("exact values", `Quick, test_exact_values);
@@ -253,4 +484,14 @@ let suite =
     ("rounder consistency", `Quick, test_rounder_consistency);
     ("names", `Quick, test_name_round_trip);
     prop_correctly_round_brackets;
+    ( "first level = Ziv loop on every mini input",
+      `Quick,
+      test_differential_mini );
+    ( "first level = Ziv loop on binary16/bfloat16",
+      `Quick,
+      test_differential_16bit );
+    ("forced fallback at prec 52", `Quick, test_forced_fallback);
+    prop_differential_binary32;
+    prop_fival_encloses;
+    prop_fast_enclosure_contains;
   ]

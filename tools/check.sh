@@ -18,7 +18,9 @@
 # quarantined and a resumed run completes bit-identically), and
 # smoke-check the LP engine (every solve of a traced cold generation
 # carries a passed exact certificate), and smoke-check an example run
-# cold and warm through the pipeline (identical output).
+# cold and warm through the pipeline (identical output), and smoke-check
+# a real 16-bit format (cold binary16 log2 and exp2 with --verify: 0
+# wrong results).
 # Usage: tools/check.sh [N]   (N = fan-out width, default 4)
 set -eu
 
@@ -422,6 +424,27 @@ RLIBM_CACHE_DIR="$exdir" dune exec --no-build examples/quickstart.exe \
   > "$exwarm"
 diff "$excold" "$exwarm"
 echo "quickstart: cold and warm runs print identical output"
+
+echo "== binary16 smoke (cold log2 / exp2 --verify) =="
+# Every binary16 input through the whole pipeline against the oracle,
+# in a temporary store so the oracle and every stage run cold.
+b16dir=$(mktemp -d) && b16out=$(mktemp)
+trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
+       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
+       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
+       "$shardout" "$genjson" "$tracecold" "$tracewarm" "$tracenone" \
+       "$excold" "$exwarm" "$b16out"
+     rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir" \
+       "$tracegen" "$lpgen" "$exdir" "$b16dir"' EXIT
+for f in log2 exp2; do
+  RLIBM_CACHE_DIR="$b16dir" dune exec --no-build bin/rlibm_gen.exe -- generate \
+    --func "$f" --ebits 5 --prec 11 --scheme estrin-fma --verify -j "$N" \
+    > "$b16out"
+  grep -Eq '^verify: 63488 inputs: 63488 checked, 0 wrong round-to-odd, 0/[0-9]+ wrong narrowed$' "$b16out" \
+    || { echo "binary16 $f: wrong results or no verdict:"; cat "$b16out"; exit 1; }
+  tail -n 1 "$b16out"
+done
+echo "binary16: log2 and exp2 correct on every input, every narrowed format"
 
 rm -rf "$tracedir" "$faultdir"
 echo "== OK =="
