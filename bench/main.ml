@@ -463,6 +463,31 @@ let stage_seconds events =
       | _ -> (st, secs st))
     Pipeline.all_stages
 
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* Run [f] against a fresh store directory under the temp dir, then
+   restore the previous store and delete the directory. *)
+let with_temp_store name f =
+  let saved = Cache.dir () in
+  let tmp =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rlibm-bench-%s-%d" name (Unix.getpid ()))
+  in
+  (try Sys.mkdir tmp 0o755 with Sys_error _ -> ());
+  Cache.set_dir tmp;
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.set_dir saved;
+      rm_rf tmp)
+    (fun () -> f tmp)
+
 type gen_timing = {
   g_func : Oracle.func;
   g_cold_s : float;
@@ -476,17 +501,7 @@ type gen_timing = {
 
 let measure_generation funcs =
   let scheme = Polyeval.EstrinFma in
-  let saved = Cache.dir () in
-  let tmp =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rlibm-bench-gen-%d" (Unix.getpid ()))
-  in
-  (try Sys.mkdir tmp 0o755 with Sys_error _ -> ());
-  Cache.set_dir tmp;
-  Fun.protect
-    ~finally:(fun () -> Cache.set_dir saved)
-    (fun () ->
+  with_temp_store "gen" (fun _ ->
       List.map
         (fun func ->
           let cfg = Rlibm.Config.mini_for func in
@@ -574,17 +589,7 @@ type lp_row = {
 let lp_events = [ "lp.solved"; "lp.infeasible"; "lp.unbounded" ]
 
 let measure_lp funcs schemes =
-  let saved = Cache.dir () in
-  let tmp =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rlibm-bench-lp-%d" (Unix.getpid ()))
-  in
-  (try Sys.mkdir tmp 0o755 with Sys_error _ -> ());
-  Cache.set_dir tmp;
-  Fun.protect
-    ~finally:(fun () -> Cache.set_dir saved)
-    (fun () ->
+  with_temp_store "lp" (fun _ ->
       List.concat_map
         (fun func ->
           let cfg = Rlibm.Config.mini_for func in
@@ -694,13 +699,7 @@ type shard_timing = {
 }
 
 let measure_sharding funcs ~shards =
-  let saved = Cache.dir () in
-  let root =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rlibm-bench-shard-%d" (Unix.getpid ()))
-  in
-  (try Sys.mkdir root 0o755 with Sys_error _ -> ());
+  with_temp_store "shard" @@ fun root ->
   let counter = ref 0 in
   let fresh_dir () =
     incr counter;
@@ -717,60 +716,57 @@ let measure_sharding funcs ~shards =
   let sorted_entries tbl =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
   in
-  Fun.protect
-    ~finally:(fun () -> Cache.set_dir saved)
-    (fun () ->
-      List.map
-        (fun func ->
-          let cfg = Rlibm.Config.mini_for func in
-          fresh_dir ();
-          let ok = function Ok v -> v | Error e -> Cli.exit_error e in
-          let cold_un_s, unsharded =
-            timed (fun () -> ok (Pipeline.oracle_stage ~cfg func))
-          in
-          let reference = sorted_entries unsharded in
-          fresh_dir ();
-          let cold_sh_s, sharded =
-            timed (fun () -> ok (Pipeline.oracle_stage ~shards ~cfg func))
-          in
-          let identical = sorted_entries sharded = reference in
-          (* A killed warmer's store: the first half of the shards
-             published, nothing merged. *)
-          fresh_dir ();
-          List.iter
-            (fun k ->
-              Rlibm.Constraints.clear_memory_cache ();
-              ignore
-                (ok (Pipeline.oracle_stage ~shards ~only_shard:k ~cfg func)
-                  : (int64, int64) Hashtbl.t))
-            (List.init (shards / 2) Fun.id);
-          Cache.reset_stats ();
-          let resume_s, _ =
-            timed (fun () -> ok (Pipeline.oracle_stage ~shards ~cfg func))
-          in
-          let hits, misses =
-            match List.assoc_opt "oracle-shard" (Cache.stats_by_kind ()) with
-            | Some s -> (s.Cache.hits, s.Cache.misses)
-            | None -> (0, 0)
-          in
-          let row =
-            {
-              s_func = func;
-              s_cold_unsharded_s = cold_un_s;
-              s_cold_sharded_s = cold_sh_s;
-              s_resume_s = resume_s;
-              s_resume_hits = hits;
-              s_resume_misses = misses;
-              s_identical = identical;
-            }
-          in
-          Printf.eprintf
-            "%-7s unsharded %6.2fs  sharded %6.2fs  resume %6.2fs (%d \
-             loaded, %d computed)  identical %s\n%!"
-            (Oracle.name func) cold_un_s cold_sh_s resume_s hits misses
-            (if identical then "yes" else "NO");
-          row)
-        funcs)
+  List.map
+    (fun func ->
+      let cfg = Rlibm.Config.mini_for func in
+      fresh_dir ();
+      let ok = function Ok v -> v | Error e -> Cli.exit_error e in
+      let cold_un_s, unsharded =
+        timed (fun () -> ok (Pipeline.oracle_stage ~cfg func))
+      in
+      let reference = sorted_entries unsharded in
+      fresh_dir ();
+      let cold_sh_s, sharded =
+        timed (fun () -> ok (Pipeline.oracle_stage ~shards ~cfg func))
+      in
+      let identical = sorted_entries sharded = reference in
+      (* A killed warmer's store: the first half of the shards
+         published, nothing merged. *)
+      fresh_dir ();
+      List.iter
+        (fun k ->
+          Rlibm.Constraints.clear_memory_cache ();
+          ignore
+            (ok (Pipeline.oracle_stage ~shards ~only_shard:k ~cfg func)
+              : (int64, int64) Hashtbl.t))
+        (List.init (shards / 2) Fun.id);
+      Cache.reset_stats ();
+      let resume_s, _ =
+        timed (fun () -> ok (Pipeline.oracle_stage ~shards ~cfg func))
+      in
+      let hits, misses =
+        match List.assoc_opt "oracle-shard" (Cache.stats_by_kind ()) with
+        | Some s -> (s.Cache.hits, s.Cache.misses)
+        | None -> (0, 0)
+      in
+      let row =
+        {
+          s_func = func;
+          s_cold_unsharded_s = cold_un_s;
+          s_cold_sharded_s = cold_sh_s;
+          s_resume_s = resume_s;
+          s_resume_hits = hits;
+          s_resume_misses = misses;
+          s_identical = identical;
+        }
+      in
+      Printf.eprintf
+        "%-7s unsharded %6.2fs  sharded %6.2fs  resume %6.2fs (%d \
+         loaded, %d computed)  identical %s\n%!"
+        (Oracle.name func) cold_un_s cold_sh_s resume_s hits misses
+        (if identical then "yes" else "NO");
+      row)
+    funcs
 
 let print_sharding ~shards rows =
   Printf.printf

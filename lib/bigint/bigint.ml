@@ -325,6 +325,9 @@ let mag_divmod u v =
 
 let of_int n =
   if n = 0 then zero
+  else if n > 0 && n < base then { sign = 1; mag = [| n |] }
+  else if n > 0 && n < base * base then
+    { sign = 1; mag = [| n land limb_mask; n lsr limb_bits |] }
   else begin
     (* Work on the negative side so [abs min_int] cannot overflow; OCaml's
        [mod] keeps the dividend's sign, so [neg mod base] is in (-base, 0]. *)
@@ -484,27 +487,47 @@ let trailing_zeros x =
   let rec bit v acc = if v land 1 = 1 then acc else bit (v lsr 1) (acc + 1) in
   (i * limb_bits) + bit v 0
 
+(* Euclid on native non-negative ints. *)
+let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b)
+
+(* The value of a non-negative magnitude of at most two limbs. *)
+let small x =
+  match x.mag with
+  | [||] -> 0
+  | [| l0 |] -> l0
+  | m -> m.(0) lor (m.(1) lsl limb_bits)
+
+let fits_small x = Array.length x.mag <= 2
+
 (* Binary GCD: shifts and subtractions only — much cheaper than repeated
    Knuth division for the small-to-medium operands the LP solver
-   produces. *)
+   produces.  Two fast paths: once both operands fit in two limbs the
+   rest runs on native ints, and an odd part equal to 1 (one operand a
+   power of two, the common case for dyadic rationals) settles the odd
+   gcd at once without a loop. *)
 let gcd a b =
   let a = abs a and b = abs b in
   if is_zero a then b
   else if is_zero b then a
+  else if fits_small a && fits_small b then of_int (int_gcd (small a) (small b))
   else begin
     let za = trailing_zeros a and zb = trailing_zeros b in
     let shift = Stdlib.min za zb in
     let rec go a b =
       (* invariants: a, b odd and positive *)
-      let c = compare a b in
-      if c = 0 then a
-      else begin
-        let a, b = if c > 0 then (a, b) else (b, a) in
-        let d = sub a b in
-        go (shift_right d (trailing_zeros d)) b
-      end
+      if fits_small a && fits_small b then of_int (int_gcd (small a) (small b))
+      else
+        let c = compare a b in
+        if c = 0 then a
+        else begin
+          let a, b = if c > 0 then (a, b) else (b, a) in
+          let d = sub a b in
+          go (shift_right d (trailing_zeros d)) b
+        end
     in
-    shift_left (go (shift_right a za) (shift_right b zb)) shift
+    let oa = shift_right a za and ob = shift_right b zb in
+    let g = if is_one oa || is_one ob then one else go oa ob in
+    shift_left g shift
   end
 
 (* ---------- string conversion ---------- *)

@@ -97,6 +97,11 @@ val pow : t -> int -> t
 (** [pow2 n] is 2{^ n} for [n >= 0]. *)
 val pow2 : int -> t
 
+(** [gcd a b] is the non-negative greatest common divisor ([gcd 0 0 = 0]).
+    Binary GCD with two fast paths that return the same value: operands
+    of at most two limbs (60 bits) run on native ints, and when either
+    operand's odd part is 1 (a power of two times a sign) the result is
+    the smaller power of two at once, without a loop. *)
 val gcd : t -> t -> t
 
 (** {1 Bit-level operations} *)

@@ -22,17 +22,25 @@ let pivot_count = Atomic.make 0
 
 (* ---------- exact integer kernels ---------- *)
 
+(* [l / d] for a positive [d] that divides [l]: a shift when [d] is a
+   power of two, as every row scale of a dyadic LP is. *)
+let div_exact l d =
+  let t = Z.trailing_zeros d in
+  if Z.numbits d = t + 1 then Z.shift_right l t else Z.div l d
+
+(* Least common multiple of two positive integers. *)
+let lcm a b =
+  if Z.equal a b || Z.is_one b then a
+  else if Z.is_one a then b
+  else Z.mul a (div_exact b (Z.gcd a b))
+
 (* Scale a vector of rationals by the positive lcm of its denominators. *)
 let lcm_dens (v : R.t array) =
-  Array.fold_left
-    (fun l q ->
-      let d = R.den q in
-      if Z.is_zero (Z.rem l d) then l else Z.div (Z.mul l d) (Z.gcd l d))
-    Z.one v
+  Array.fold_left (fun l q -> lcm l (R.den q)) Z.one v
 
 let to_integers (v : R.t array) =
   let l = lcm_dens v in
-  Array.map (fun q -> Z.mul (R.num q) (Z.div l (R.den q))) v
+  Array.map (fun q -> Z.mul (R.num q) (div_exact l (R.den q))) v
 
 let dot_z a x =
   let acc = ref Z.zero in
@@ -313,15 +321,19 @@ let invert_float (g : float array array) =
    or a comparison, typically a degenerate tie.  Such an iteration counts
    as an exact pivot, the others as float pivots.  The final basis is
    then certified exactly (see [certify_optimal] and friends); should a
-   certificate fail, the phase re-runs with every decision exact. *)
+   certificate fail, the phase re-runs with every decision exact.
+
+   The exact side works on the integer rows (row i scaled by lz_i) and
+   never forms a rational: each exact value is an integer numerator over
+   a positive denominator that is a product of the view's Bareiss
+   determinant and a row or objective scale, so signs, comparisons and
+   the ratio test's cross products are integer products, with no gcd. *)
 
 type col = Xp of int | Xm of int | Slack of int | Art of int
 
 type problem = {
   n : int;
   m : int;
-  a : R.t array array;
-  b : R.t array;
   af : ap array array;
   bf : ap array;
   lz : Z.t array;  (* positive integer scale of each row *)
@@ -336,47 +348,57 @@ let col_of pb j =
   else if j < pb.real_cols then Slack (j - (2 * pb.n))
   else Art pb.art_row.(j - pb.real_cols)
 
-(* A column of [A | I | -E | b], entry by entry: exact, bounded double,
-   and scaled to the row's integers. *)
-type column = { cq : int -> R.t; cf : int -> ap; cz : int -> Z.t }
+(* A column of [A | I | -E | b], entry by entry: bounded double, and
+   exactly, scaled to the row's integers. *)
+type column = { cf : int -> ap; cz : int -> Z.t }
 
 let column pb = function
-  | Xp k ->
-      {
-        cq = (fun i -> pb.a.(i).(k));
-        cf = (fun i -> pb.af.(i).(k));
-        cz = (fun i -> pb.ex.az.(i).(k));
-      }
+  | Xp k -> { cf = (fun i -> pb.af.(i).(k)); cz = (fun i -> pb.ex.az.(i).(k)) }
   | Xm k ->
       {
-        cq = (fun i -> R.neg pb.a.(i).(k));
         cf = (fun i -> ap_neg pb.af.(i).(k));
         cz = (fun i -> Z.neg pb.ex.az.(i).(k));
       }
   | Slack r ->
       {
-        cq = (fun i -> if i = r then R.one else R.zero);
         cf = (fun i -> ap_exact (if i = r then 1.0 else 0.0));
         cz = (fun i -> if i = r then pb.lz.(r) else Z.zero);
       }
   | Art r ->
       {
-        cq = (fun i -> if i = r then R.minus_one else R.zero);
         cf = (fun i -> ap_exact (if i = r then -1.0 else 0.0));
         cz = (fun i -> if i = r then Z.neg pb.lz.(r) else Z.zero);
       }
 
-let rhs_column pb =
-  {
-    cq = (fun i -> pb.b.(i));
-    cf = (fun i -> pb.bf.(i));
-    cz = (fun i -> pb.ex.bz.(i));
-  }
+let rhs_column pb = { cf = (fun i -> pb.bf.(i)); cz = (fun i -> pb.ex.bz.(i)) }
+
+(* A phase objective: column j costs c_num.(j) / c_den exactly, and
+   c_f.(j) is that cost as a bounded double. *)
+type costs = { c_num : Z.t array; c_den : Z.t; c_f : ap array }
+
+(* An exact value num / den, den > 0, never reduced. *)
+type ex = { num : Z.t; den : Z.t }
+
+let ex_zero = { num = Z.zero; den = Z.one }
+let same_den a b = a.den == b.den || Z.equal a.den b.den
+
+let ex_compare a b =
+  let sa = Z.sign a.num and sb = Z.sign b.num in
+  if sa <> sb then compare sa sb
+  else if same_den a b then Z.compare a.num b.num
+  else Z.compare (Z.mul a.num b.den) (Z.mul b.num a.den)
+
+(* The ratio test's cross comparison of beta_r z_l with beta_l z_r.
+   Both solves ran against one view, so a slot's denominator (d, or
+   lz_i d on a covered row) is the same in each and cancels. *)
+let cross_compare br zl bl zr =
+  assert (same_den br zr && same_den bl zl);
+  Z.compare (Z.mul br.num zl.num) (Z.mul bl.num zr.num)
 
 (* A quantity: a bounded double and its exact value on demand. *)
-type q = { f : ap; x : R.t Lazy.t }
+type q = { f : ap; x : ex Lazy.t }
 
-let q_const r = { f = ap_of_rat r; x = Lazy.from_val r }
+let q_zero = { f = ap_exact 0.0; x = Lazy.from_val ex_zero }
 
 (* [beyond lo cutoff]: a lower bound clearly above a cutoff (with a
    margin for the rounding of the bounds themselves). *)
@@ -386,16 +408,17 @@ let ap_lo a = a.v -. (2.0 *. a.e)
 let ap_hi a = a.v +. (2.0 *. a.e)
 
 let sign_q q =
-  match ap_sign q.f with Some s -> s | None -> R.sign (Lazy.force q.x)
+  match ap_sign q.f with Some s -> s | None -> Z.sign (Lazy.force q.x).num
 
 let compare_q a b =
   match ap_sign (ap_sub a.f b.f) with
   | Some s -> s
-  | None -> R.compare (Lazy.force a.x) (Lazy.force b.x)
+  | None -> ex_compare (Lazy.force a.x) (Lazy.force b.x)
 
 (* The basis seen through its small matrix. *)
 type view = {
   t_rows : int array;  (* T *)
+  t_pos : int array;  (* per row: its index in T, or -1 *)
   s_cols : (int * int) array;  (* S: (variable k, +1 for x+ / -1 for x-) *)
   s_slot : int array;  (* slot of each S column *)
   unit_slot : int array;  (* per row: slot of its basic unit column, or -1 *)
@@ -425,6 +448,8 @@ let make_view pb basis ~force_exact ~on_exact =
       (List.filter (fun i -> unit_slot.(i) < 0) (List.init pb.m Fun.id))
   in
   assert (Array.length t_rows = Array.length s_cols);
+  let t_pos = Array.make pb.m (-1) in
+  Array.iteri (fun t i -> t_pos.(i) <- t) t_rows;
   let ginv =
     if force_exact then None
     else
@@ -438,6 +463,7 @@ let make_view pb basis ~force_exact ~on_exact =
   in
   {
     t_rows;
+    t_pos;
     s_cols;
     s_slot = Array.map fst s;
     unit_slot;
@@ -463,7 +489,7 @@ let ginv_at vw s t =
   | Some (inv, eg) -> { v = inv.(s).(t); e = eg }
   | None -> unsettled
 
-(* Sum over S of sign * A[i, k] * z_s, as bounded double and exactly. *)
+(* Sum over S of sign * A[i, k] * z_s as a bounded double. *)
 let row_s_f pb vw i (zf : ap array) =
   let acc = ref (ap_exact 0.0) in
   Array.iteri
@@ -473,16 +499,14 @@ let row_s_f pb vw i (zf : ap array) =
     vw.s_cols;
   !acc
 
-let row_s_x pb vw i (zx : R.t array) =
-  let acc = ref R.zero in
-  Array.iteri
-    (fun s (k, sg) ->
-      let aik = if sg > 0 then pb.a.(i).(k) else R.neg pb.a.(i).(k) in
-      if not (R.is_zero aik) then acc := R.add !acc (R.mul aik zx.(s)))
-    vw.s_cols;
-  !acc
+let bareiss_one mat rhs =
+  match bareiss_solve mat [ rhs ] with
+  | Some (d, [ x ]) -> (d, x)
+  | _ -> invalid_arg "Lp: singular basis"
 
-(* B z = v for a column v: one quantity per slot. *)
+(* B z = v for a column v: one quantity per slot.  Exactly, Gz z_S = v_T
+   gives z_s = zs / d, and a covered row's residual is
+   (d v_i - sum_S sign az[i, k] zs) / (lz_i d). *)
 let solve_column pb vw (v : column) =
   let p = Array.length vw.t_rows in
   let zf =
@@ -496,13 +520,19 @@ let solve_column pb vw (v : column) =
   let zx =
     lazy
       (vw.on_exact ();
-       match bareiss_solve (Lazy.force vw.gz) [ Array.map v.cz vw.t_rows ] with
-       | Some (d, [ z ]) -> Array.map (fun zi -> R.make zi d) z
-       | _ -> invalid_arg "Lp: singular basis")
+       bareiss_one (Lazy.force vw.gz) (Array.map v.cz vw.t_rows))
   in
-  let out = Array.make pb.m (q_const R.zero) in
+  let out = Array.make pb.m q_zero in
   Array.iteri
-    (fun s slot -> out.(slot) <- { f = zf.(s); x = lazy (Lazy.force zx).(s) })
+    (fun s slot ->
+      out.(slot) <-
+        {
+          f = zf.(s);
+          x =
+            lazy
+              (let d, z = Lazy.force zx in
+               { num = z.(s); den = d });
+        })
     vw.s_slot;
   Array.iteri
     (fun i slot ->
@@ -514,102 +544,168 @@ let solve_column pb vw (v : column) =
             f = (if tau > 0 then f else ap_neg f);
             x =
               lazy
-                (let r = R.sub (v.cq i) (row_s_x pb vw i (Lazy.force zx)) in
-                 if tau > 0 then r else R.neg r);
+                (let d, z = Lazy.force zx in
+                 let acc = ref (Z.mul (v.cz i) d) in
+                 Array.iteri
+                   (fun s (k, sg) ->
+                     let a = pb.ex.az.(i).(k) in
+                     if not (Z.is_zero a) then begin
+                       let t = Z.mul a z.(s) in
+                       acc := if sg > 0 then Z.sub !acc t else Z.add !acc t
+                     end)
+                   vw.s_cols;
+                 {
+                   num = (if tau > 0 then !acc else Z.neg !acc);
+                   den = Z.mul pb.lz.(i) d;
+                 });
           }
       end)
     vw.unit_slot;
   out
 
-(* G^T w = h, exactly: returns w indexed like T.  G's rows are scaled by
-   lz, so Gz^T (w / lz_T) = h. *)
-let solve_transposed_exact pb vw (h : R.t array) =
-  vw.on_exact ();
-  let hl = lcm_dens h in
-  let hz = Array.map (fun q -> Z.mul (R.num q) (Z.div hl (R.den q))) h in
-  match bareiss_solve (transpose (Lazy.force vw.gz)) [ hz ] with
-  | Some (d, [ u ]) ->
-      Array.mapi
-        (fun t i -> R.make (Z.mul pb.lz.(i) u.(t)) (Z.mul d hl))
-        vw.t_rows
-  | _ -> invalid_arg "Lp: singular basis"
-
-(* sum over [rows] of A[i, k] pi_i, as bounded double and exactly. *)
+(* sum over [rows] of A[i, k] pi_i as a bounded double. *)
 let pi_dot_f pb pi rows k =
   List.fold_left
     (fun acc i -> ap_add acc (ap_mul pb.af.(i).(k) pi.(i).f))
     (ap_exact 0.0) rows
 
-let pi_dot_x pb pi rows k =
-  List.fold_left
-    (fun acc i -> R.add acc (R.mul pb.a.(i).(k) (Lazy.force pi.(i).x)))
-    R.zero rows
+(* Simplex multipliers pi (B^T pi = c_B) of a view.  A covered row's
+   multiplier is the constant tau_i c(unit column) = cpi_i / c_den.  The
+   T rows solve G^T pi_T = h, h_s = c(S_s) - sign_s sum_covered
+   A[i, k_s] pi_i; exactly, with L the lcm of the covered rows' scales
+   and w_i = cpi_i L / lz_i, the integer system Gz^T u = d hz with
+   hz_s = c_num(S_s) L - sign_s sum_covered az[i, k_s] w_i gives
+   pi_i / lz_i = w_i / (c_den L) on covered rows and u_t / (d c_den L) on
+   T rows. *)
+type duals = {
+  pi : q array;  (* per row *)
+  live : int list;  (* rows where pi may be non-zero: covered, then T *)
+  cov : (Z.t * Z.t array) Lazy.t;  (* L and w, per row *)
+  tsol : (Z.t * Z.t array) Lazy.t;  (* d and u, per T index *)
+}
 
-(* Simplex multipliers pi (B^T pi = c_B), one quantity per row, and the
-   rows where pi may be non-zero. *)
-let multipliers pb basis vw ~cost =
-  let pi = Array.make pb.m (q_const R.zero) in
-  (* Covered rows: tau_i pi_i = c(unit column), a constant. *)
+let multipliers pb basis vw costs =
+  let pi = Array.make pb.m q_zero and cpi = Array.make pb.m Z.zero in
   Array.iteri
     (fun i slot ->
       if slot >= 0 then begin
-        let c = cost basis.(slot) in
-        pi.(i) <- q_const (if vw.tau.(i) > 0 then c else R.neg c)
+        let j = basis.(slot) in
+        let c = costs.c_num.(j) in
+        if not (Z.is_zero c) then begin
+          let pos = vw.tau.(i) > 0 in
+          cpi.(i) <- (if pos then c else Z.neg c);
+          pi.(i) <-
+            {
+              f = (if pos then costs.c_f.(j) else ap_neg costs.c_f.(j));
+              x = Lazy.from_val { num = cpi.(i); den = costs.c_den };
+            }
+        end
       end)
     vw.unit_slot;
   let covered =
-    List.filter
-      (fun i -> vw.unit_slot.(i) >= 0 && not (R.is_zero (Lazy.force pi.(i).x)))
-      (List.init pb.m Fun.id)
+    List.filter (fun i -> not (Z.is_zero cpi.(i))) (List.init pb.m Fun.id)
   in
-  (* T rows: G^T pi_T = h, h_s = c(S_s) - sign_s sum_covered A[i, k_s] pi_i. *)
-  let s_cost s = cost basis.(vw.s_slot.(s)) in
+  let cov =
+    lazy
+      (let l = List.fold_left (fun l i -> lcm l pb.lz.(i)) Z.one covered in
+       let w = Array.make pb.m Z.zero in
+       List.iter
+         (fun i -> w.(i) <- Z.mul cpi.(i) (div_exact l pb.lz.(i)))
+         covered;
+       (l, w))
+  in
+  let s_col s = basis.(vw.s_slot.(s)) in
   let h_f =
     Array.mapi
       (fun s (k, sg) ->
         let acc = pi_dot_f pb pi covered k in
-        ap_sub (ap_of_rat (s_cost s)) (if sg > 0 then acc else ap_neg acc))
+        ap_sub costs.c_f.(s_col s) (if sg > 0 then acc else ap_neg acc))
       vw.s_cols
   in
-  let h_x =
+  let tsol =
     lazy
-      (Array.mapi
-         (fun s (k, sg) ->
-           let acc = pi_dot_x pb pi covered k in
-           R.sub (s_cost s) (if sg > 0 then acc else R.neg acc))
-         vw.s_cols)
+      (let l, w = Lazy.force cov in
+       let hz =
+         Array.mapi
+           (fun s (k, sg) ->
+             let acc =
+               List.fold_left
+                 (fun acc i ->
+                   let a = pb.ex.az.(i).(k) in
+                   if Z.is_zero a then acc else Z.add acc (Z.mul a w.(i)))
+                 Z.zero covered
+             in
+             Z.sub
+               (Z.mul costs.c_num.(s_col s) l)
+               (if sg > 0 then acc else Z.neg acc))
+           vw.s_cols
+       in
+       vw.on_exact ();
+       bareiss_one (transpose (Lazy.force vw.gz)) hz)
   in
-  let pt_x = lazy (solve_transposed_exact pb vw (Lazy.force h_x)) in
   Array.iteri
     (fun t i ->
       let acc = ref (ap_exact 0.0) in
       Array.iteri
         (fun s _ -> acc := ap_add !acc (ap_mul (ginv_at vw s t) h_f.(s)))
         vw.s_cols;
-      pi.(i) <- { f = !acc; x = lazy (Lazy.force pt_x).(t) })
+      pi.(i) <-
+        {
+          f = !acc;
+          x =
+            lazy
+              (let d, u = Lazy.force tsol and l, _ = Lazy.force cov in
+               {
+                 num = Z.mul pb.lz.(i) u.(t);
+                 den = Z.mul d (Z.mul costs.c_den l);
+               });
+        })
     vw.t_rows;
-  (pi, covered @ Array.to_list vw.t_rows)
+  { pi; live = covered @ Array.to_list vw.t_rows; cov; tsol }
 
-(* Reduced cost z_j - c_j = pi . a_j - c_j of column j. *)
-let reduced_cost pb ~cost (pi, live) j =
+(* Reduced cost z_j - c_j = pi . a_j - c_j of column j.  Exactly, over
+   c_den L, times d once a T row contributes. *)
+let reduced_cost pb vw costs du j =
   match col_of pb j with
   | (Xp k | Xm k) as cl ->
-      let rows = List.filter (fun i -> not (R.is_zero pb.a.(i).(k))) live in
-      let c = cost j in
+      let rows =
+        List.filter (fun i -> not (Z.is_zero pb.ex.az.(i).(k))) du.live
+      in
       let neg = match cl with Xm _ -> true | _ -> false in
-      let f = pi_dot_f pb pi rows k in
+      let f = pi_dot_f pb du.pi rows k in
       {
-        f = ap_sub (if neg then ap_neg f else f) (ap_of_rat c);
+        f = ap_sub (if neg then ap_neg f else f) costs.c_f.(j);
         x =
           lazy
-            (let s = pi_dot_x pb pi rows k in
-             R.sub (if neg then R.neg s else s) c);
+            (let l, w = Lazy.force du.cov in
+             let t_rows, cov_rows =
+               List.partition (fun i -> vw.t_pos.(i) >= 0) rows
+             in
+             let dot coef rows =
+               List.fold_left
+                 (fun acc i -> Z.add acc (Z.mul pb.ex.az.(i).(k) (coef i)))
+                 Z.zero rows
+             in
+             let cov_sum = dot (fun i -> w.(i)) cov_rows in
+             let signed s = if neg then Z.neg s else s in
+             let c = Z.mul costs.c_num.(j) l and hl = Z.mul costs.c_den l in
+             (* The T solve is an exact solve: it runs, and marks the
+                pivot exact, only when a T row contributes. *)
+             if t_rows = [] then { num = Z.sub (signed cov_sum) c; den = hl }
+             else
+               let d, u = Lazy.force du.tsol in
+               let t_sum = dot (fun i -> u.(vw.t_pos.(i))) t_rows in
+               let s = Z.add (Z.mul d cov_sum) t_sum in
+               { num = Z.sub (signed s) (Z.mul d c); den = Z.mul d hl });
       }
-  | Slack i -> pi.(i)
+  | Slack i -> du.pi.(i)
   | Art i ->
       {
-        f = ap_sub (ap_exact 1.0) pi.(i).f;
-        x = lazy (R.sub R.one (Lazy.force pi.(i).x));
+        f = ap_sub (ap_exact 1.0) du.pi.(i).f;
+        x =
+          lazy
+            (let p = Lazy.force du.pi.(i).x in
+             { num = Z.sub p.den p.num; den = p.den });
       }
 
 (* ----- one phase ----- *)
@@ -621,9 +717,9 @@ type phase_end =
 type counters = { mutable float_pivots : int; mutable exact_pivots : int }
 
 (* Runs the phase from [basis] (slot -> basic column) until no column
-   below [scan] prices in.  [cost j] is the phase objective.  With
+   below [scan] prices in.  [costs] is the phase objective.  With
    [force_exact], every decision reads exact values. *)
-let run_phase pb basis ~scan ~cost ~force_exact cnt =
+let run_phase pb basis ~scan ~costs ~force_exact cnt =
   let budget = ref (64 + (8 * pb.m)) in
   let in_basis = Array.make (pb.real_cols + Array.length pb.art_row) false in
   Array.iter (fun j -> in_basis.(j) <- true) basis;
@@ -632,7 +728,7 @@ let run_phase pb basis ~scan ~cost ~force_exact cnt =
     let vw =
       make_view pb basis ~force_exact ~on_exact:(fun () -> exact := true)
     in
-    let mult = multipliers pb basis vw ~cost in
+    let du = multipliers pb basis vw costs in
     let dantzig = !budget > 0 in
     if dantzig then decr budget;
     (* Dantzig: most negative reduced cost, lowest column on ties;
@@ -642,7 +738,7 @@ let run_phase pb basis ~scan ~cost ~force_exact cnt =
     let priced = ref [] in
     for j = scan - 1 downto 0 do
       if not in_basis.(j) then
-        priced := (j, reduced_cost pb ~cost mult j) :: !priced
+        priced := (j, reduced_cost pb vw costs du j) :: !priced
     done;
     let candidates =
       if not dantzig then !priced
@@ -699,9 +795,9 @@ let run_phase pb basis ~scan ~cost ~force_exact cnt =
                 with
                 | Some s -> s
                 | None ->
-                    R.compare
-                      (R.mul (Lazy.force beta.(r).x) (Lazy.force z.(l).x))
-                      (R.mul (Lazy.force beta.(l).x) (Lazy.force z.(r).x))
+                    cross_compare
+                      (Lazy.force beta.(r).x) (Lazy.force z.(l).x)
+                      (Lazy.force beta.(l).x) (Lazy.force z.(r).x)
               in
               if cmp < 0 || (cmp = 0 && basis.(r) < basis.(l)) then leave := r
             end
@@ -765,11 +861,17 @@ let certify_optimal pb vw =
       else None
   | _ -> None
 
+let rat_of_ex e = R.make e.num e.den
+
 (* Phase 1 ended with a positive artificial: its multipliers are a Farkas
    combination (pi >= 0, pi^T A = 0, pi.b < 0). *)
 let certify_infeasible pb pi =
   let y =
-    Array.mapi (fun i q -> R.div (Lazy.force q.x) (R.of_bigint pb.lz.(i))) pi
+    Array.mapi
+      (fun i q ->
+        let e = Lazy.force q.x in
+        R.make e.num (Z.mul e.den pb.lz.(i)))
+      pi
   in
   let yz = to_integers y in
   if check_farkas pb.ex yz then
@@ -786,7 +888,7 @@ let certify_unbounded pb vw col =
       let ray = Array.make pb.n R.zero in
       Array.iteri
         (fun s (k, sg) ->
-          let zs = Lazy.force z.(vw.s_slot.(s)).x in
+          let zs = rat_of_ex (Lazy.force z.(vw.s_slot.(s)).x) in
           ray.(k) <- (if sg > 0 then R.neg zs else zs))
         vw.s_cols;
       (match col_of pb col with
@@ -813,24 +915,29 @@ let drive_out_artificials pb basis =
     | Art i ->
         let vw = make_view pb basis ~force_exact:true ~on_exact:ignore in
         (* Row r of B^-1 A is tau (a_j[i] - w . a_j[T]) with G^T w = g,
-           g_s = sign_s A[i, k_s]; tau = -1 only flips signs. *)
+           g_s = sign_s A[i, k_s]; tau = -1 only flips signs.  On the
+           integer rows, Gz^T u = d g' with g'_s = sign_s az[i, k_s] makes
+           the entry (d cz_j[i] - u . cz_j[T]) / (d lz_i). *)
         let g =
           Array.map
-            (fun (k, sg) -> if sg > 0 then pb.a.(i).(k) else R.neg pb.a.(i).(k))
+            (fun (k, sg) ->
+              if sg > 0 then pb.ex.az.(i).(k) else Z.neg pb.ex.az.(i).(k))
             vw.s_cols
         in
-        let w = solve_transposed_exact pb vw g in
-        let entry j =
-          let cq = (column pb (col_of pb j)).cq in
-          let acc = ref (cq i) in
+        let d, u = bareiss_one (transpose (Lazy.force vw.gz)) g in
+        let nonzero j =
+          let cz = (column pb (col_of pb j)).cz in
+          let acc = ref (Z.mul d (cz i)) in
           Array.iteri
-            (fun t it -> acc := R.sub !acc (R.mul w.(t) (cq it)))
+            (fun t it ->
+              let c = cz it in
+              if not (Z.is_zero c) then acc := Z.sub !acc (Z.mul u.(t) c))
             vw.t_rows;
-          !acc
+          not (Z.is_zero !acc)
         in
         let rec find j =
           if j >= pb.real_cols then None
-          else if not (R.is_zero (entry j)) then Some j
+          else if nonzero j then Some j
           else find (j + 1)
         in
         (match find 0 with
@@ -848,13 +955,12 @@ let solve ~obj ~rows =
   let t0 = Unix.gettimeofday () in
   let a = Array.map fst rows and b = Array.map snd rows in
   let lz = Array.map (fun (a, b) -> lcm_dens (Array.append a [| b |])) rows in
-  let scale l q = Z.mul (R.num q) (Z.div l (R.den q)) in
+  let scale l q = Z.mul (R.num q) (div_exact l (R.den q)) in
+  let lc = lcm_dens obj in
   let pb =
     {
       n;
       m;
-      a;
-      b;
       af = Array.map (Array.map ap_of_rat) a;
       bf = Array.map ap_of_rat b;
       lz;
@@ -863,12 +969,37 @@ let solve ~obj ~rows =
           n;
           az = Array.mapi (fun i ai -> Array.map (scale lz.(i)) ai) a;
           bz = Array.mapi (fun i bi -> scale lz.(i) bi) b;
-          cz = to_integers obj;
+          cz = Array.map (scale lc) obj;
         };
       real_cols = (2 * n) + m;
       art_row =
         Array.of_list
           (List.filter (fun i -> R.sign b.(i) < 0) (List.init m Fun.id));
+    }
+  in
+  let cols = pb.real_cols + Array.length pb.art_row in
+  (* Phase 2 maximises obj over x+ - x-; phase 1 maximises -(sum of
+     artificials). *)
+  let costs2 =
+    let c_num = Array.make cols Z.zero in
+    let c_f = Array.make cols (ap_exact 0.0) in
+    for k = 0 to n - 1 do
+      c_num.(k) <- pb.ex.cz.(k);
+      c_num.(n + k) <- Z.neg pb.ex.cz.(k);
+      c_f.(k) <- ap_of_rat obj.(k);
+      c_f.(n + k) <- ap_of_rat (R.neg obj.(k))
+    done;
+    { c_num; c_den = lc; c_f }
+  in
+  let costs1 =
+    {
+      c_num =
+        Array.init cols (fun j ->
+            if j < pb.real_cols then Z.zero else Z.minus_one);
+      c_den = Z.one;
+      c_f =
+        Array.init cols (fun j ->
+            if j < pb.real_cols then ap_exact 0.0 else ap_of_rat R.minus_one);
     }
   in
   (* Initial basis: each row's slack, or its artificial when b_i < 0. *)
@@ -878,18 +1009,13 @@ let solve ~obj ~rows =
   let exact_view () = make_view pb basis ~force_exact:true ~on_exact:ignore in
   (* A phase whose verdict fails its certificate re-runs from where it
      stopped with every decision exact. *)
-  let certified_phase ~scan ~cost ~certify =
-    match certify (run_phase pb basis ~scan ~cost ~force_exact:false cnt) with
+  let certified_phase ~scan ~costs ~certify =
+    match certify (run_phase pb basis ~scan ~costs ~force_exact:false cnt) with
     | Some c -> Some c
-    | None -> certify (run_phase pb basis ~scan ~cost ~force_exact:true cnt)
+    | None -> certify (run_phase pb basis ~scan ~costs ~force_exact:true cnt)
   in
   let phase2 () =
-    certified_phase ~scan:pb.real_cols
-      ~cost:(fun j ->
-        match col_of pb j with
-        | Xp k -> obj.(k)
-        | Xm k -> R.neg obj.(k)
-        | _ -> R.zero)
+    certified_phase ~scan:pb.real_cols ~costs:costs2
       ~certify:(function
         | Phase_optimal -> certify_optimal pb (exact_view ())
         | Phase_unbounded col -> certify_unbounded pb (exact_view ()) col)
@@ -897,12 +1023,10 @@ let solve ~obj ~rows =
   let cert =
     if Array.length pb.art_row = 0 then phase2 ()
     else begin
-      (* Phase 1 maximises -(sum of artificials): feasible when no basic
-         artificial stays positive, otherwise certified infeasible. *)
-      let cost1 j = match col_of pb j with Art _ -> R.minus_one | _ -> R.zero in
+      (* Phase 1: feasible when no basic artificial stays positive,
+         otherwise certified infeasible. *)
       let phase1 force_exact =
-        let scan = pb.real_cols + Array.length pb.art_row in
-        match run_phase pb basis ~scan ~cost:cost1 ~force_exact cnt with
+        match run_phase pb basis ~scan:cols ~costs:costs1 ~force_exact cnt with
         | Phase_unbounded _ -> assert false (* bounded above by 0 *)
         | Phase_optimal ->
             let vw = exact_view () in
@@ -915,8 +1039,8 @@ let solve ~obj ~rows =
                 | _ -> ())
               basis;
             if !positive then
-              let pi, _ = multipliers pb basis vw ~cost:cost1 in
-              `Infeasible (certify_infeasible pb pi)
+              let du = multipliers pb basis vw costs1 in
+              `Infeasible (certify_infeasible pb du.pi)
             else `Feasible
       in
       let feasible () =
@@ -1030,14 +1154,59 @@ let round_bits q bits =
     R.mul_pow2 (R.of_bigint (if R.sign q < 0 then Bigint.neg m else m)) e
   end
 
+(* The same rounding of x^k straight from a double's significand: with
+   x = s 2^e, x^k = s^k 2^(ke), and rounding toward zero is a shift of
+   |s^k|.  No rational is formed until the result. *)
+let float_monomial ~bits x k =
+  let q =
+    if k = 0 then R.one
+    else if x = 0.0 then R.zero
+    else begin
+      let fr, ex = Float.frexp x in
+      let p = Z.pow (Z.of_int (int_of_float (Float.ldexp fr 53))) k in
+      let drop = Stdlib.max 0 (Z.numbits p - bits) in
+      let m =
+        if drop = 0 then p
+        else
+          let t = Z.shift_right (Z.abs p) drop in
+          if Z.sign p < 0 then Z.neg t else t
+      in
+      R.mul_pow2 (R.of_bigint m) ((k * (ex - 53)) + drop)
+    end
+  in
+  (q, R.to_float q)
+
 type instance = {
   powers : int array;
   points : point array;
+  monos : Rat.t array array;
+  monos_f : float array array;
   initial_working : int list;
   tilt : Rat.t array option;
-  mono_bits : int option;
   max_added_per_round : int;
 }
+
+let instance ?(max_added_per_round = 16) ?(initial_working = []) ?tilt
+    ?mono_bits ~powers points =
+  let monos =
+    Array.map
+      (fun pt ->
+        Array.map
+          (fun p ->
+            let m = R.pow pt.x p in
+            match mono_bits with None -> m | Some b -> round_bits m b)
+          powers)
+      points
+  in
+  {
+    powers;
+    points;
+    monos;
+    monos_f = Array.map (Array.map R.to_float) monos;
+    initial_working;
+    tilt;
+    max_added_per_round;
+  }
 
 let recorder : (instance -> unit) option Atomic.t = Atomic.make None
 
@@ -1046,30 +1215,25 @@ let with_recorder f body =
   Fun.protect ~finally:(fun () -> Atomic.set recorder prev) body
 
 let solve_instance ?(maximize = maximize) ?(log = fun _ -> ())
-    { powers; points; initial_working; tilt; mono_bits; max_added_per_round } =
+    {
+      powers;
+      points;
+      monos;
+      monos_f;
+      initial_working;
+      tilt;
+      max_added_per_round;
+    } =
   let d = Array.length powers in
   let n_points = Array.length points in
   if n_points = 0 then Sat (Array.make d R.zero, [])
   else begin
-    let monos =
-      Array.map
-        (fun pt ->
-          Array.map
-            (fun p ->
-              let m = R.pow pt.x p in
-              match mono_bits with
-              | None -> m
-              | Some b -> round_bits m b)
-            powers)
-        points
-    in
     (* Float shadows of the system: the per-round violation scan runs in
        doubles, with exact confirmation only for points near an interval
        boundary.  A point misclassified by less than the float margin is
        immaterial: the pipeline's acceptance criterion is the *double*
        evaluation of the compiled scheme, and false positives merely add a
        harmless constraint. *)
-    let monos_f = Array.map (Array.map R.to_float) monos in
     let lo_f = Array.map (fun pt -> R.to_float pt.lo) points in
     let hi_f = Array.map (fun pt -> R.to_float pt.hi) points in
     let working : (int, int) Hashtbl.t = Hashtbl.create 64 in
@@ -1080,7 +1244,14 @@ let solve_instance ?(maximize = maximize) ?(log = fun _ -> ())
     if Hashtbl.length working < d + 1 then begin
       (* Seed: spread evenly over the x-sorted points. *)
       let order = Array.init n_points (fun i -> i) in
-      Array.sort (fun i j -> R.compare points.(i).x points.(j).x) order;
+      (* Rounding to doubles is monotone, so distinct doubles order the
+         points; only equal ones need the exact comparison. *)
+      let xf = Array.map (fun pt -> R.to_float pt.x) points in
+      Array.sort
+        (fun i j ->
+          let c = Float.compare xf.(i) xf.(j) in
+          if c <> 0 then c else R.compare points.(i).x points.(j).x)
+        order;
       let initial = Stdlib.min n_points (Stdlib.max (2 * (d + 1)) 8) in
       for k = 0 to initial - 1 do
         let idx = order.(k * (n_points - 1) / Stdlib.max 1 (initial - 1)) in
@@ -1222,10 +1393,12 @@ let solve_instance ?(maximize = maximize) ?(log = fun _ -> ())
     loop 1
   end
 
-let solve_interval_system ?(max_added_per_round = 16) ?log
-    ?(initial_working = []) ?tilt ?mono_bits ~powers points =
-  let inst =
-    { powers; points; initial_working; tilt; mono_bits; max_added_per_round }
-  in
+let solve_system ?log inst =
   Option.iter (fun f -> f inst) (Atomic.get recorder);
   solve_instance ?log inst
+
+let solve_interval_system ?max_added_per_round ?log ?initial_working ?tilt
+    ?mono_bits ~powers points =
+  solve_system ?log
+    (instance ?max_added_per_round ?initial_working ?tilt ?mono_bits ~powers
+       points)

@@ -8,7 +8,13 @@
     costs a small dense solve in doubles plus one pass over the rows.
     Each double a pivot decision reads carries an error bound; a
     decision the bound cannot settle is taken on exact values (a
-    fraction-free Bareiss solve over {!Bigint}).  The final verdict is
+    fraction-free Bareiss solve over {!Bigint}).  The exact side never
+    forms a rational: each exact value is a {!Bigint} numerator over a
+    positive denominator (the basis view's Bareiss determinant times a
+    row or objective scale), so signs, comparisons and the ratio test's
+    cross products are integer products and no gcd is taken inside a
+    phase.  {!Rat} appears only at the boundary: the input rows, the
+    returned vertex and the Farkas/ray conversion.  The final verdict is
     accepted only with an exact certificate — a feasible vertex with
     non-negative multipliers, a Farkas combination, or a feasible point
     and an improving ray — so verdicts and vertices are exact.  The pivot
@@ -108,20 +114,47 @@ val solve_interval_system :
     candidates whose double-precision evaluation satisfies constraints the
     default vertex misses. *)
 
-(** {2 Replay} *)
+(** {2 Instances and replay} *)
 
-(** The arguments of one {!solve_interval_system} call. *)
+(** The arguments of one interval-system solve, monomials included. *)
 type instance = {
   powers : int array;
   points : point array;
+  monos : Rat.t array array;
+      (** [monos.(i).(k)]: the value of [x_i]{^ [powers.(k)]} the LP
+          uses (possibly rounded, see [mono_bits]) *)
+  monos_f : float array array;  (** the nearest doubles of [monos] *)
   initial_working : int list;
   tilt : Rat.t array option;
-  mono_bits : int option;
   max_added_per_round : int;
 }
 
-(** [with_recorder f body] runs [body], passing every
-    {!solve_interval_system} call it makes (on any domain) to [f] first. *)
+(** [instance ~powers points] computes the monomials of [points] (exact
+    powers, rounded to [mono_bits] bits when given) and packs the
+    arguments of {!solve_interval_system} as an instance. *)
+val instance :
+  ?max_added_per_round:int ->
+  ?initial_working:int list ->
+  ?tilt:Rat.t array ->
+  ?mono_bits:int ->
+  powers:int array ->
+  point array ->
+  instance
+
+(** [float_monomial ~bits x k] is [x]{^ k} for a double [x] and [k >= 0],
+    rounded toward zero to [bits] significant bits exactly as
+    [~mono_bits:bits] rounds it, with its nearest double.  It works on
+    the integer power of the significand, so a caller that solves many
+    systems over the same inputs (Algorithm-2 rounds, degree escalation)
+    builds its monomial table once and slices it into each {!instance}. *)
+val float_monomial : bits:int -> float -> int -> Rat.t * float
+
+(** [solve_system inst] solves an instance: {!solve_interval_system} is
+    [solve_system (instance ...)]. *)
+val solve_system : ?log:(string -> unit) -> instance -> system_result
+
+(** [with_recorder f body] runs [body], passing every {!solve_system}
+    call it makes (on any domain) to [f] first. *)
 val with_recorder : (instance -> unit) -> (unit -> 'a) -> 'a
 
 (** [solve_instance inst] re-runs a recorded call; [maximize] swaps the

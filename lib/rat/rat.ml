@@ -119,27 +119,36 @@ let approx q ~bits =
   if is_zero q then invalid_arg "Rat.approx: zero";
   if bits <= 0 then invalid_arg "Rat.approx: bits <= 0";
   let n = B.abs q.num and d = q.den in
-  let k = B.numbits n - B.numbits d in
-  (* 2^(k-1) <= |q| < 2^(k+1); target m in [2^(bits-1), 2^bits). *)
-  let attempt e =
-    let m =
-      if e >= 0 then B.fdiv n (B.shift_left d e)
-      else B.fdiv (B.shift_left n (-e)) d
+  if is_pow2 d then begin
+    (* Dyadic fast path: |q| = n / 2^j, so m is n shifted to [bits]
+       bits and the value is exact iff no set bit was shifted out. *)
+    let s = B.numbits n - bits in
+    let m = if s >= 0 then B.shift_right n s else B.shift_left n (-s) in
+    (m, s - (B.numbits d - 1), s <= 0 || B.trailing_zeros n >= s)
+  end
+  else begin
+    let k = B.numbits n - B.numbits d in
+    (* 2^(k-1) <= |q| < 2^(k+1); target m in [2^(bits-1), 2^bits). *)
+    let attempt e =
+      let m =
+        if e >= 0 then B.fdiv n (B.shift_left d e)
+        else B.fdiv (B.shift_left n (-e)) d
+      in
+      (m, e)
     in
-    (m, e)
-  in
-  let m, e =
-    let m, e = attempt (k - bits) in
-    if B.numbits m > bits then attempt (k - bits + 1)
-    else if B.numbits m < bits then attempt (k - bits - 1)
-    else (m, e)
-  in
-  assert (B.numbits m = bits);
-  let exact =
-    let back = mul_pow2 (of_bigint m) e in
-    equal back (abs q)
-  in
-  (m, e, exact)
+    let m, e =
+      let m, e = attempt (k - bits) in
+      if B.numbits m > bits then attempt (k - bits + 1)
+      else if B.numbits m < bits then attempt (k - bits - 1)
+      else (m, e)
+    in
+    assert (B.numbits m = bits);
+    let exact =
+      let back = mul_pow2 (of_bigint m) e in
+      equal back (abs q)
+    in
+    (m, e, exact)
+  end
 
 type round_dir = Down | Up | Nearest | Zero
 
@@ -159,6 +168,8 @@ let to_float_dir dir q =
       | Up -> if neg then `Down else `Up
     in
     let m, e, exact = approx qa ~bits:54 in
+    (* 54 bits fit a native int: the rest is native bit arithmetic. *)
+    let m = B.to_int_exn m in
     (* Value = (m + eps) * 2^e with 0 <= eps < 1, eps > 0 iff not exact.
        The exponent of the value is e + 53 (since 2^53 <= m < 2^54). *)
     let value_exp = e + 53 in
@@ -168,21 +179,21 @@ let to_float_dir dir q =
        quantum 2^-1074 because e + drop = -1074 whenever prec < 53. *)
     let prec = if value_exp < -1022 then 53 - (-1022 - value_exp) else 53 in
     let drop = 54 - prec in
-    let kept = B.shift_right m drop in
-    (* [low_zero k] tells whether bits [0, k) of m are all zero. *)
-    let low_zero k =
-      k <= 0 || B.equal (B.shift_left (B.shift_right m k) k) m
-    in
+    let kept = if drop >= 54 then 0 else m lsr drop in
+    (* [low_zero k] tells whether bits [0, k) of m are all zero (never
+       for k >= 54: bit 53 is set). *)
+    let low_zero k = k <= 0 || (k < 54 && m land ((1 lsl k) - 1) = 0) in
     let rounded =
       match mag_dir with
       | `Down -> kept
-      | `Up -> if exact && low_zero drop then kept else B.succ kept
+      | `Up -> if exact && low_zero drop then kept else kept + 1
       | `Nearest ->
-          let rbit = drop <= B.numbits m && B.testbit m (drop - 1) in
+          let rbit = drop <= 54 && (m lsr (drop - 1)) land 1 = 1 in
           let sticky = (not exact) || not (low_zero (drop - 1)) in
-          if rbit && (sticky || B.is_odd kept) then B.succ kept else kept
+          if rbit && (sticky || kept land 1 = 1) then kept + 1 else kept
     in
-    let result_mag = Float.ldexp (B.to_float rounded) (e + drop) in
+    (* rounded <= 2^53, so the conversion is exact. *)
+    let result_mag = Float.ldexp (float_of_int rounded) (e + drop) in
     (* ldexp overflows to infinity exactly when the rounded magnitude is
        >= 2^1024; for the directed-down case the correct answer is the
        largest finite double. *)

@@ -95,7 +95,11 @@ val to_float_dir : round_dir -> t -> float
 (** [approx q ~bits] for [q <> 0] is [(m, e, exact)] with
     [m * 2^e <= |q| < (m + 1) * 2^e], where [m] has exactly [bits] bits;
     [exact] reports whether [|q| = m * 2^e].  This is the primitive from
-    which all rounding modes are derived (floor + sticky).
+    which all rounding modes are derived (floor + sticky).  When the
+    denominator is a power of two (every double, every dyadic monomial)
+    [m] and [exact] come from a shift and a trailing-zero count instead
+    of a division; {!to_float} and {!to_float_dir} inherit the fast path
+    and finish in native-int arithmetic.
     @raise Invalid_argument on zero or [bits <= 0]. *)
 val approx : t -> bits:int -> Bigint.t * int * bool
 

@@ -46,6 +46,7 @@ let copy_points pts =
    the artifact's generator "searches for a polynomial with the minimum
    number of special inputs". *)
 let solve_piece ?(log = fun _ -> ()) ~scheme ~degree ~max_rounds ~max_specials
+    ~(monos : (Rat.t * float) array Lazy.t array)
     (points : Constraints.point array) =
   let n = Array.length points in
   let pts = copy_points points in
@@ -58,6 +59,11 @@ let solve_piece ?(log = fun _ -> ()) ~scheme ~degree ~max_rounds ~max_specials
   let active = Array.make n true in
   (* [points] arrive sorted by reduced input, so neighbours are adjacent. *)
   let powers = Array.init (degree + 1) Fun.id in
+  (* This degree's rows of the piece's monomial table, by global point;
+     every round's instance shares them. *)
+  let cols = Array.init (degree + 1) (fun k -> Lazy.force monos.(k)) in
+  let mq = Array.init n (fun g -> Array.map (fun c -> fst c.(g)) cols) in
+  let mf = Array.init n (fun g -> Array.map (fun c -> snd c.(g)) cols) in
   let inputs_of idxs =
     List.concat_map (fun i -> pts.(i).Constraints.xs) idxs
   in
@@ -167,8 +173,16 @@ let solve_piece ?(log = fun _ -> ()) ~scheme ~degree ~max_rounds ~max_specials
       in
       let tilt = if round = 1 then None else Some (random_tilt ()) in
       match
-        Lp.solve_interval_system ~initial_working ?tilt ~mono_bits:64 ~powers
-          lp_points
+        Lp.solve_system
+          {
+            Lp.powers;
+            points = lp_points;
+            monos = Array.map (fun g -> mq.(g)) act_idx;
+            monos_f = Array.map (fun g -> mf.(g)) act_idx;
+            initial_working;
+            tilt;
+            max_added_per_round = 16;
+          }
       with
       | Lp.Unsat ->
           log
@@ -327,6 +341,17 @@ let solve ?(log = fun _ -> ()) ~(cfg : Config.t) ~scheme ~func
         degrees.(pi) <- 0
       end
       else begin
+        (* Every degree and round re-solves over these reduced inputs:
+           their monomials, rounded to 64 bits for the LP, are built once
+           per power, when a degree first needs it. *)
+        let monos =
+          Array.init (cfg.max_degree + 1) (fun k ->
+              lazy
+                (Array.map
+                   (fun (p : Constraints.point) ->
+                     Lp.float_monomial ~bits:64 p.Constraints.r k)
+                   pts))
+        in
         (* Degree escalation; Knuth only exists for 4-6, so start there. *)
         let d0 =
           match scheme with
@@ -360,7 +385,7 @@ let solve ?(log = fun _ -> ()) ~(cfg : Config.t) ~scheme ~func
                  (Array.length pts));
             match
               solve_piece ~log ~scheme ~degree:d ~max_rounds:cfg.max_rounds
-                ~max_specials:cfg.max_specials pts
+                ~max_specials:cfg.max_specials ~monos pts
             with
             | Done { compiled = c; specials = sp; rounds = r } ->
                 data.(pi) <- c.Polyeval.data;

@@ -27,12 +27,16 @@ type piece_outcome =
           intervals outright, as opposed to the round/special budget
           running out *)
 
+(** [monos.(k)] is column [k] of the piece's monomial table,
+    [Lp.float_monomial ~bits:64 r k] for each point's reduced input [r],
+    in the order of the points; columns up to [degree] are forced. *)
 val solve_piece :
   ?log:(string -> unit) ->
   scheme:Polyeval.scheme ->
   degree:int ->
   max_rounds:int ->
   max_specials:int ->
+  monos:(Rat.t * float) array Lazy.t array ->
   Constraints.point array ->
   piece_outcome
 

@@ -171,6 +171,44 @@ let arb_bigint =
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name gen f)
 
+(* Euclid by [rem]: the reference for gcd's binary loop and fast paths. *)
+let rec gcd_ref a bb =
+  if Bigint.is_zero bb then Bigint.abs a else gcd_ref bb (Bigint.rem a bb)
+
+(* Operands biased to each gcd path: one or two limbs (native ints), an
+   odd number times 2^k, exact powers of two (odd part 1), multi-limb
+   values, zero; either sign. *)
+let arb_gcd_operand =
+  QCheck2.Gen.(
+    let* mag =
+      frequency
+        [
+          (3, map Bigint.of_int (int_bound ((1 lsl 60) - 1)));
+          ( 2,
+            let* o = int_bound ((1 lsl 40) - 1) in
+            let* k = int_bound 200 in
+            return (Bigint.shift_left (Bigint.of_int ((2 * o) + 1)) k) );
+          (2, map Bigint.pow2 (int_bound 300));
+          (2, arb_bigint);
+          (1, return Bigint.zero);
+        ]
+    in
+    let* neg = bool in
+    return (if neg then Bigint.neg mag else mag))
+
+(* Independent pairs, and pairs sharing a random factor. *)
+let arb_gcd_pair =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, pair arb_gcd_operand arb_gcd_operand);
+        ( 1,
+          let* g = arb_gcd_operand in
+          let* x = arb_gcd_operand in
+          let* y = arb_gcd_operand in
+          return (Bigint.mul g x, Bigint.mul g y) );
+      ])
+
 let props =
   let beq = Bigint.equal in
   let badd = Bigint.add and bmul = Bigint.mul in
@@ -216,6 +254,10 @@ let props =
         && Bigint.compare (Bigint.pow2 (n - 1)) (Bigint.abs a) <= 0);
     prop "compare antisym" (QCheck2.Gen.pair arb_bigint arb_bigint)
       (fun (a, bb) -> Bigint.compare a bb = -Bigint.compare bb a);
+    prop "gcd matches Euclid" arb_gcd_pair (fun (a, bb) ->
+        beq (Bigint.gcd a bb) (gcd_ref a bb));
+    prop "of_int matches decimal parsing" QCheck2.Gen.int (fun n ->
+        beq (Bigint.of_int n) (Bigint.of_string (string_of_int n)));
   ]
 
 let suite =

@@ -78,7 +78,9 @@ let test_store_io_error () =
   write_file blocker "not a directory";
   Cache.set_dir (Filename.concat blocker "store");
   Fun.protect
-    ~finally:(fun () -> Cache.set_dir saved)
+    ~finally:(fun () ->
+      Cache.set_dir saved;
+      Test_util.rm_rf blocker)
     (fun () ->
       match Cache.store ~kind:"test" ~key:"unwritable" [ 1; 2; 3 ] with
       | Error (Diag.Error.Store_io { path; detail }) ->

@@ -348,7 +348,9 @@ let test_warm_reports_unwritable_store () =
   write_file blocker "not a directory";
   Cache.set_dir (Filename.concat blocker "store");
   Fun.protect
-    ~finally:(fun () -> Cache.set_dir saved)
+    ~finally:(fun () ->
+      Cache.set_dir saved;
+      Test_util.rm_rf blocker)
     (fun () ->
       Rlibm.Constraints.clear_memory_cache ();
       let r, _ =
@@ -392,6 +394,12 @@ let run_child ?fault ~jobs dir =
 let dump_child_log dir =
   let log = dir ^ ".log" in
   if Sys.file_exists log then prerr_string (read_file log)
+
+(* A run's store and log, once its checks passed; a failing run keeps
+   both for inspection. *)
+let remove_run dir =
+  Test_util.rm_rf dir;
+  Test_util.rm_rf (dir ^ ".log")
 
 (* The store's observable content: every published entry's name and
    bytes, sorted.  Temps and quarantine files are crash debris, not
@@ -453,6 +461,7 @@ let test_kill_point_sweep () =
         Alcotest.(check (list (pair string string)))
           (Printf.sprintf "site %d: resumed store = uninterrupted store" site)
           control_fp (store_fingerprint d);
+        remove_run d;
         sweep (site + 1) (aborted + 1)
       end
       else if rc = 0 then begin
@@ -462,7 +471,8 @@ let test_kill_point_sweep () =
           true (aborted >= 6);
         Alcotest.(check (list (pair string string)))
           "unfaulted sweep run matches control" control_fp
-          (store_fingerprint d)
+          (store_fingerprint d);
+        remove_run d
       end
       else begin
         dump_child_log d;
@@ -471,7 +481,8 @@ let test_kill_point_sweep () =
       end
     end
   in
-  sweep 1 0
+  sweep 1 0;
+  remove_run control
 
 let suite =
   [

@@ -420,16 +420,7 @@ let test_ill_conditioned_fallback () =
         let w = Rat.mul_pow2 Rat.one (-40) in
         { Lp.x; lo = Rat.sub v w; hi = Rat.add v w })
   in
-  let inst =
-    {
-      Lp.powers;
-      points;
-      initial_working = [];
-      tilt = None;
-      mono_bits = None;
-      max_added_per_round = 16;
-    }
-  in
+  let inst = Lp.instance ~powers points in
   let got, evs = lp_records (fun () -> Lp.solve_instance inst) in
   let exact = List.fold_left (fun acc e -> acc + int_field "exact_pivots" e) 0 evs in
   Alcotest.(check bool) "exact pivots ran" true (exact > 0);
@@ -471,6 +462,41 @@ let test_unsat_farkas () =
            = Some (Diag.String "farkas"))
   | [] -> Alcotest.fail "no LP record"
 
+(* The monomial table Generate builds from each double's significand
+   holds the same values, rational and double, as the generic rounding
+   of exact powers that [Lp.instance ~mono_bits] applies. *)
+let prop_float_monomials =
+  let gen =
+    QCheck2.Gen.(
+      let* x =
+        frequency
+          [
+            ( 4,
+              map
+                (fun f -> Float.ldexp (f -. 0.5) (-3))
+                (float_bound_inclusive 1.0) );
+            (1, map Int64.float_of_bits int64);
+            (1, oneofl [ 0.0; -0.0; 1.0; -1.0; Float.min_float; 4.9e-324 ]);
+          ]
+      in
+      let x = if Float.is_finite x then x else 0.75 in
+      let* k = int_bound 8 in
+      let* bits = oneofl [ 24; 53; 64 ] in
+      return (x, k, bits))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:"float monomials match mono_bits rounding" gen
+       (fun (x, k, bits) ->
+         let q, f = Lp.float_monomial ~bits x k in
+         let inst =
+           Lp.instance ~mono_bits:bits ~powers:[| k |]
+             [| { Lp.x = Rat.of_float x; lo = Rat.zero; hi = Rat.zero } |]
+         in
+         Rat.equal q inst.Lp.monos.(0).(0)
+         && Int64.equal (Int64.bits_of_float f)
+              (Int64.bits_of_float inst.Lp.monos_f.(0).(0))))
+
 let suite =
   [
     ("basic maximization", `Quick, test_basic_max);
@@ -492,4 +518,5 @@ let suite =
     ("replayed generation matches reference", `Slow, test_replay_generation);
     ("ill-conditioned exact fallback", `Quick, test_ill_conditioned_fallback);
     ("unsat carries a Farkas certificate", `Quick, test_unsat_farkas);
+    prop_float_monomials;
   ]

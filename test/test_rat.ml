@@ -138,8 +138,42 @@ let arb_finite_float =
     let x = Int64.float_of_bits bits in
     if Float.is_finite x then return x else return 1.5)
 
+(* Dyadic values n * 2^s, numerators up to 240 bits, scales from deep
+   below the subnormal range to beyond overflow: the shape of doubles
+   and LP monomials, served by approx's shift path. *)
+let arb_dyadic =
+  QCheck2.Gen.(
+    let* limbs = int_range 1 8 in
+    let* parts = list_size (return limbs) (int_bound ((1 lsl 30) - 1)) in
+    let* neg = bool in
+    let* scale = int_range (-1300) 1100 in
+    let n =
+      List.fold_left
+        (fun acc p -> Bigint.add (Bigint.shift_left acc 30) (Bigint.of_int p))
+        Bigint.zero parts
+    in
+    return
+      (Rat.mul_pow2 (Rat.of_bigint (if neg then Bigint.neg n else n)) scale))
+
 let prop name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name gen f)
+
+let approx_contract (a, bits) =
+  Rat.is_zero a
+  ||
+  let m, e, exact = Rat.approx a ~bits in
+  let lo = Rat.mul_pow2 (Rat.of_bigint m) e in
+  let hi = Rat.mul_pow2 (Rat.of_bigint (Bigint.succ m)) e in
+  Bigint.numbits m = bits
+  && Rat.compare lo (Rat.abs a) <= 0
+  && Rat.compare (Rat.abs a) hi < 0
+  && exact = Rat.equal lo (Rat.abs a)
+
+let to_float_dir_brackets a =
+  let lo = Rat.to_float_dir Rat.Down a and hi = Rat.to_float_dir Rat.Up a in
+  lo <= hi
+  && (not (Float.is_finite lo) || Rat.compare (Rat.of_float lo) a <= 0)
+  && (not (Float.is_finite hi) || Rat.compare a (Rat.of_float hi) <= 0)
 
 let props =
   let req = Rat.equal in
@@ -160,11 +194,7 @@ let props =
         let mi = Int64.of_float (Float.ldexp m 53) in
         req (Rat.of_float x)
           (Rat.mul_pow2 (Rat.of_string (Int64.to_string mi)) (e - 53)));
-    prop "to_float_dir brackets" arb_rat (fun a ->
-        let lo = Rat.to_float_dir Rat.Down a and hi = Rat.to_float_dir Rat.Up a in
-        lo <= hi
-        && (not (Float.is_finite lo) || Rat.compare (Rat.of_float lo) a <= 0)
-        && (not (Float.is_finite hi) || Rat.compare a (Rat.of_float hi) <= 0));
+    prop "to_float_dir brackets" arb_rat to_float_dir_brackets;
     prop "to_float is Down or Up" arb_rat (fun a ->
         let n = Rat.to_float a in
         n = Rat.to_float_dir Rat.Down a || n = Rat.to_float_dir Rat.Up a);
@@ -179,16 +209,19 @@ let props =
         let f = Rat.of_bigint (Rat.floor a) in
         Rat.compare f a <= 0 && Rat.compare a (Rat.add f Rat.one) < 0);
     prop "approx contract" (QCheck2.Gen.pair arb_rat (QCheck2.Gen.int_range 1 80))
-      (fun (a, bits) ->
-        Rat.is_zero a
-        ||
-        let m, e, exact = Rat.approx a ~bits in
-        let lo = Rat.mul_pow2 (Rat.of_bigint m) e in
-        let hi = Rat.mul_pow2 (Rat.of_bigint (Bigint.succ m)) e in
-        Bigint.numbits m = bits
-        && Rat.compare lo (Rat.abs a) <= 0
-        && Rat.compare (Rat.abs a) hi < 0
-        && exact = Rat.equal lo (Rat.abs a));
+      approx_contract;
+    prop "approx contract on dyadics"
+      (QCheck2.Gen.pair arb_dyadic (QCheck2.Gen.int_range 1 300))
+      approx_contract;
+    prop "to_float_dir brackets on dyadics" arb_dyadic to_float_dir_brackets;
+    prop "to_float_dir Down and Up are adjacent on dyadics" arb_dyadic
+      (fun a ->
+        let lo = Rat.to_float_dir Rat.Down a in
+        let hi = Rat.to_float_dir Rat.Up a in
+        lo = hi || Float.succ lo = hi);
+    prop "to_float is Down or Up on dyadics" arb_dyadic (fun a ->
+        let n = Rat.to_float a in
+        n = Rat.to_float_dir Rat.Down a || n = Rat.to_float_dir Rat.Up a);
   ]
 
 let suite =

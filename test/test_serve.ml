@@ -13,26 +13,6 @@ let specs =
     (Oracle.Log2, Polyeval.Horner, tiny_cfg);
   ]
 
-let fresh_cache_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rlibm-serve-test-%d-%d" (Unix.getpid ()) !n)
-    in
-    (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-
-(* Point the store at a fresh directory for the scope of [f], restoring
-   the previous directory afterwards. *)
-let with_cache_dir f =
-  let prev = Cache.dir () in
-  let dir = fresh_cache_dir () in
-  Cache.set_dir dir;
-  Fun.protect ~finally:(fun () -> Cache.set_dir prev) (fun () -> f dir)
-
 let with_jobs j f =
   let prev = Parallel.jobs () in
   Parallel.set_jobs j;
@@ -47,7 +27,7 @@ let build_ok specs =
 let bits_of = Array.map Int64.bits_of_float
 
 let test_cold_warm_roundtrip () =
-  with_cache_dir (fun _dir ->
+  Test_util.in_fresh_dir (fun _dir ->
       let cold = build_ok specs in
       Alcotest.(check int) "entries" 2 (List.length (Serve.entries cold));
       let inputs = Genlibm.inputs_exhaustive tiny in
@@ -72,7 +52,7 @@ let test_cold_warm_roundtrip () =
         (Array.length out_log))
 
 let test_batch_matches_scalar_at_any_j () =
-  with_cache_dir (fun _dir ->
+  Test_util.in_fresh_dir (fun _dir ->
       let snap = build_ok specs in
       let inputs = Genlibm.inputs_exhaustive tiny in
       List.iter
@@ -102,7 +82,7 @@ let test_batch_matches_scalar_at_any_j () =
         [ Oracle.Exp2; Oracle.Log2 ])
 
 let test_unknown_func_rejected () =
-  with_cache_dir (fun _dir ->
+  Test_util.in_fresh_dir (fun _dir ->
       let snap = build_ok [ (Oracle.Exp2, Polyeval.Horner, tiny_cfg) ] in
       Alcotest.check_raises "not in snapshot"
         (Invalid_argument "Serve.eval_batch: log10 is not in this snapshot")
@@ -114,7 +94,7 @@ let test_unknown_func_rejected () =
    silently shadowed by the first and a caller asking for (exp2, horner)
    could be served (exp2, estrin-fma). *)
 let test_duplicate_func_rejected () =
-  with_cache_dir (fun _dir ->
+  Test_util.in_fresh_dir (fun _dir ->
       let dup =
         [
           (Oracle.Exp2, Polyeval.EstrinFma, tiny_cfg);

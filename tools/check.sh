@@ -17,7 +17,8 @@
 # store operation leaves a store that fsck repairs with nothing
 # quarantined and a resumed run completes bit-identically), and
 # smoke-check the LP engine (every solve of a traced cold generation
-# carries a passed exact certificate), and smoke-check an example run
+# carries a passed exact certificate, and its exact counters match the
+# pinned values), and smoke-check an example run
 # cold and warm through the pipeline (identical output), and smoke-check
 # a real 16-bit format (cold binary16 log2 and exp2 with --verify: 0
 # wrong results).
@@ -316,9 +317,12 @@ for events in (cold, warm):
 EOF
 echo "trace: schema OK, warm run all-hit, output bit-identical with tracing on"
 
-echo "== LP certificate smoke (traced cold generate) =="
+echo "== LP certificate and counter smoke (traced cold generate) =="
 # Every LP solve of a cold generation must carry an exact certificate
-# that checked: the float pivots only steer, the verdict is exact.
+# that checked: the float pivots only steer, the verdict is exact.  The
+# exact work counters of this fixed generation are pinned too: a change
+# that moves a pivot, the float/exact split or an entry size shows here.
+# Clocks are reported, never gated.
 lpgen=$(mktemp -d)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
@@ -343,9 +347,25 @@ for e in solves:
     for key in ("rows", "pivots_cum", "maxbits", "float_pivots",
                 "exact_pivots", "seconds"):
         assert key in fields, (key, e)
-print(f"{len(solves)} LP solves, every certificate checked")
+def total(key):
+    return sum(e["fields"][key] for e in solves)
+counters = {
+    "solves": len(solves),
+    "lp.solved": sum(e["ev"] == "lp.solved" for e in solves),
+    "lp.infeasible": sum(e["ev"] == "lp.infeasible" for e in solves),
+    "float_pivots": total("float_pivots"),
+    "exact_pivots": total("exact_pivots"),
+    "maxbits": max(e["fields"]["maxbits"] for e in solves),
+    "rows": max(e["fields"]["rows"] for e in solves),
+}
+expected = {"solves": 10, "lp.solved": 9, "lp.infeasible": 1,
+            "float_pivots": 314, "exact_pivots": 380, "maxbits": 194,
+            "rows": 57}
+assert counters == expected, (counters, expected)
+print(f"{len(solves)} LP solves, every certificate checked, "
+      f"counters as pinned; {total('seconds'):.3f} s in the LP (not gated)")
 EOF
-echo "LP: every traced solve carries a passed exact certificate"
+echo "LP: every traced solve carries a passed exact certificate; counters match"
 
 echo "== fault smoke (injected ENOSPC, kill-point resume, fsck) =="
 # Fault artifacts live at a stable path (like the trace smoke) so CI can
