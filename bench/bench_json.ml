@@ -3,9 +3,11 @@
    All bench JSON files carry the same header fields — schema_version,
    kind, timestamp, commit, host, jobs, input_bits — so files from
    different PRs and different modes (polynomial ns/call, staged
-   generation, serve throughput) form one comparable trajectory; only
-   the body under the kind-specific key differs.  Bump [schema_version]
-   whenever a header field changes meaning. *)
+   generation, LP statistics) form one comparable trajectory; only the
+   body under the kind-specific key differs.  Bump [schema_version]
+   whenever a header field changes meaning.  The retired kinds
+   serve-throughput and oracle-sharding survive only in committed
+   BENCH_*.json history. *)
 
 let schema_version = 1
 
@@ -24,11 +26,13 @@ let or_unknown = function Some s -> s | None -> "unknown"
 let commit () =
   or_unknown (first_line "git rev-parse --short HEAD 2>/dev/null")
 
-(* [write_file path ~kind ~jobs ~input_bits body] writes the envelope
-   and calls [body oc] to print the kind-specific fields.  [body] must
-   print complete ["key": value] lines, two-space indented, the last
-   one without a trailing comma. *)
-let write_file path ~kind ~jobs ~input_bits body =
+(* [write_rows path ~kind ~jobs ~input_bits ?fields ~key ~what row xs]
+   writes the envelope, then the kind-specific body: [fields] (each
+   value pre-rendered as JSON), then ["key": [...]] with one [row x]
+   object per line and commas between them.  A one-line note on stderr
+   says how many rows of [what] were written. *)
+let write_rows path ~kind ~jobs ~input_bits ?(fields = []) ~key ~what row
+    xs =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -50,5 +54,10 @@ let write_file path ~kind ~jobs ~input_bits body =
         Sys.ocaml_version;
       Printf.fprintf oc "  \"jobs\": %d,\n  \"input_bits\": %d,\n" jobs
         input_bits;
-      body oc;
-      output_string oc "}\n")
+      List.iter (fun (k, v) -> Printf.fprintf oc "  %S: %s,\n" k v) fields;
+      Printf.fprintf oc "  %S: [\n" key;
+      output_string oc
+        (String.concat ",\n" (List.map (fun x -> "    " ^ row x) xs));
+      if xs <> [] then output_char oc '\n';
+      output_string oc "  ]\n}\n");
+  Printf.eprintf "wrote %s (%d %s)\n%!" path (List.length xs) what

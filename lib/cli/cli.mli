@@ -31,7 +31,8 @@ val prec_arg : int Cmdliner.Term.t
 val jobs_arg : int option Cmdliner.Term.t
 (** [-j]/[--jobs]; [None] falls back to {!Parallel.default_jobs}
     ([RLIBM_JOBS] if set and valid, else the core count) — the flag
-    always wins over the environment. *)
+    always wins over the environment.  A value below 1 is a usage
+    error. *)
 
 val shards_arg : int option Cmdliner.Term.t
 (** [--shards S]: split the oracle stage into [S] content-keyed shard
@@ -94,21 +95,3 @@ val set_cache_dir : string option -> unit
 val report_cache_stats : bool -> unit
 (** When [true], print the global counters and the per-artifact-kind
     breakdown ({!Cache.pp_report}) to stderr. *)
-
-(** {1 Bare-argv helpers}
-
-    For [bench/main], which dispatches on raw [Sys.argv] flags rather
-    than cmdliner. *)
-
-val opt_value : string list -> string list -> string option
-(** [opt_value names args]: the value following the first element of
-    [args] that is listed in [names] (e.g.
-    [opt_value ["-j"; "--jobs"] args]). *)
-
-val parse_jobs : string list -> int
-(** The [-j]/[--jobs] value of an argv list, defaulting to
-    {!Parallel.default_jobs}; exits with code 2 on a malformed value. *)
-
-val install_diag_argv : jobs:int -> string list -> unit
-(** {!install_diag} driven by bare argv: honours [--log-level] (exit 2
-    on a bad value) and [--trace]. *)

@@ -8,10 +8,13 @@
 # the servable snapshot layer (batched eval bit-identical to scalar at
 # -j 1 and -j N; a warm snapshot loads from exactly one store entry),
 # and smoke-check the batch kernels (scalar-vs-kernel timings reported,
-# serve-throughput JSON artifact matches its schema, every row
-# bit-identical), and smoke-check sharded oracle warming (single-shard
-# warms resume into a full run that loads — never recomputes — the
-# published shards; a re-run hits every shard and the whole table),
+# every batched result bit-identical to the scalar path), and
+# smoke-check sharded oracle warming (single-shard warms resume into a
+# full run that loads — never recomputes — the published shards; a
+# re-run hits every shard and the whole table), and smoke-check the
+# bench front end (a misspelt flag is a usage error with nothing on
+# stdout; the --gen-json and --lp-json artifacts match their schemas,
+# every LP row certified),
 # and smoke-check the fault-injection substrate (an injected-ENOSPC warm
 # exits through the typed store-io code; a process aborted at a mutating
 # store operation leaves a store that fsck repairs with nothing
@@ -115,10 +118,10 @@ echo "interrupted run resumed from stage 3, output bit-identical"
 echo "== servable snapshot smoke =="
 servedir=$(mktemp -d)
 serve1=$(mktemp) && serveN=$(mktemp) && servestats=$(mktemp)
-servebench=$(mktemp) && benchjson=$(mktemp)
+servebench=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson"
+       "$serve1" "$serveN" "$servestats" "$servebench"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir"' EXIT
 # Cold build at -j 1: resolves through the pipeline, persists the
 # snapshot, and cross-checks every batched result against the scalar
@@ -149,38 +152,14 @@ RLIBM_CACHE_DIR="$servedir" dune exec --no-build bin/rlibm_gen.exe -- serve \
   -j "$N" > /dev/null 2> "$servebench"
 grep -Eq 'bench: scalar [0-9.]+ ns/eval, kernel [0-9.]+ ns/eval' "$servebench" \
   || { echo "no kernel timings reported:"; cat "$servebench"; exit 1; }
-# Throughput harness: quick grid, small batch, JSON artifact.  The run
-# exits non-zero if any kernel result differs from the scalar path.
-RLIBM_CACHE_DIR="$servedir" dune exec --no-build bench/main.exe -- \
-  --serve-bench --quick --serve-batch-pow 10 --serve-json "$benchjson" \
-  -j "$N" > /dev/null
-python3 - "$benchjson" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-for key in ("schema_version", "kind", "timestamp", "commit", "host",
-            "jobs", "input_bits", "batch_pow", "results"):
-    assert key in doc, f"missing envelope key {key!r}"
-assert doc["kind"] == "serve-throughput", doc["kind"]
-assert doc["schema_version"] == 1, doc["schema_version"]
-assert doc["results"], "no result rows"
-for row in doc["results"]:
-    for key in ("func", "scheme", "batch", "scalar_ns_per_eval",
-                "kernel_ns_per_eval", "scalar_evals_per_s",
-                "kernel_evals_per_s", "speedup",
-                "kernel_minor_words_per_eval", "bit_identical"):
-        assert key in row, f"missing row key {key!r}"
-    assert row["bit_identical"] is True, row
-    assert row["kernel_ns_per_eval"] > 0.0, row
-EOF
-echo "kernel timings reported, serve-throughput JSON schema OK"
+echo "kernel timings reported, batched results bit-identical to scalar"
 
 echo "== sharded oracle warm smoke =="
 sharddir=$(mktemp -d)
 shardout=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
+       "$serve1" "$serveN" "$servestats" "$servebench" \
        "$shardout"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir"' EXIT
 # Half-run: warm two of the four oracle shards, one invocation each (the
@@ -217,19 +196,28 @@ grep -Eq 'oracle  *hit' "$shardout" \
   || { echo "oracle stage missed after sharded warm:"; cat "$shardout"; exit 1; }
 echo "sharded warm: resume loads published shards, re-run all-hit, oracle stage warm"
 
-echo "== machine-readable stdout smoke (--gen-json) =="
-# With every narration line on stderr, a JSON artifact pointed at
-# /dev/stdout must leave stdout as one parseable document — nothing else
-# may leak into the stream.
-genjson=$(mktemp)
+echo "== bench front end smoke (usage error, --gen-json, --lp-json) =="
+# A misspelt flag is a usage error: non-zero exit and nothing on stdout
+# (the bench must not quietly run some other section instead).
+genjson=$(mktemp) && lpjson=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
-       "$shardout" "$genjson"
+       "$serve1" "$serveN" "$servestats" "$servebench" \
+       "$shardout" "$genjson" "$lpjson"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir"' EXIT
-dune exec --no-build bench/main.exe -- --gen-json /dev/stdout --quick \
-  -j "$N" > "$genjson" 2> /dev/null
-python3 - "$genjson" <<'EOF'
+rc=0
+dune exec --no-build bench/main.exe -- --tabel1 > "$genjson" 2> /dev/null \
+  || rc=$?
+[ "$rc" -ne 0 ] || { echo "bench accepted the unknown flag --tabel1"; exit 1; }
+[ ! -s "$genjson" ] \
+  || { echo "bench printed on stdout for --tabel1:"; cat "$genjson"; exit 1; }
+# With every narration line on stderr, a JSON artifact pointed at
+# /dev/stdout must leave stdout as one parseable document — nothing else
+# may leak into the stream.  The same run writes the LP statistics of
+# its cold polynomial stage.
+dune exec --no-build bench/main.exe -- --gen-json /dev/stdout \
+  --lp-json "$lpjson" --quick -j "$N" > "$genjson" 2> /dev/null
+python3 - "$genjson" "$lpjson" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)  # fails if any narration leaked onto stdout
@@ -241,8 +229,18 @@ assert doc["generation"], "no generation rows"
 for row in doc["generation"]:
     assert row["ok"] is True, row
     assert row["warm_rebuilt_stages"] == 0, row
+with open(sys.argv[2]) as f:
+    doc = json.load(f)
+for key in ("schema_version", "kind", "timestamp", "commit", "host",
+            "jobs", "input_bits", "results"):
+    assert key in doc, f"missing envelope key {key!r}"
+assert doc["kind"] == "lp", doc["kind"]
+assert doc["results"], "no LP rows"
+for row in doc["results"]:
+    assert row["ok"] is True, row
+    assert row["solves"] > 0, row
 EOF
-echo "--gen-json stdout parses as one JSON document, warm rebuilds = 0"
+echo "bench: --tabel1 rejected; --gen-json stdout is one JSON document, warm rebuilds = 0; every LP row ok"
 
 echo "== trace smoke (cold/warm generate with --trace) =="
 # Trace files live at a stable path (not the mktemp pool) so CI can
@@ -254,8 +252,8 @@ tracegen=$(mktemp -d)
 tracecold=$(mktemp) && tracewarm=$(mktemp) && tracenone=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
-       "$shardout" "$genjson" "$tracecold" "$tracewarm" "$tracenone"
+       "$serve1" "$serveN" "$servestats" "$servebench" \
+       "$shardout" "$genjson" "$lpjson" "$tracecold" "$tracewarm" "$tracenone"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir" \
        "$tracegen"' EXIT
 RLIBM_CACHE_DIR="$tracegen" dune exec --no-build bin/rlibm_gen.exe -- generate \
@@ -326,8 +324,8 @@ echo "== LP certificate and counter smoke (traced cold generate) =="
 lpgen=$(mktemp -d)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
-       "$shardout" "$genjson" "$tracecold" "$tracewarm" "$tracenone"
+       "$serve1" "$serveN" "$servestats" "$servebench" \
+       "$shardout" "$genjson" "$lpjson" "$tracecold" "$tracewarm" "$tracenone"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir" \
        "$tracegen" "$lpgen"' EXIT
 RLIBM_CACHE_DIR="$lpgen" dune exec --no-build bin/rlibm_gen.exe -- generate \
@@ -433,8 +431,8 @@ echo "== example smoke (quickstart cold / warm) =="
 exdir=$(mktemp -d) && excold=$(mktemp) && exwarm=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
-       "$shardout" "$genjson" "$tracecold" "$tracewarm" "$tracenone" \
+       "$serve1" "$serveN" "$servestats" "$servebench" \
+       "$shardout" "$genjson" "$lpjson" "$tracecold" "$tracewarm" "$tracenone" \
        "$excold" "$exwarm"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir" \
        "$tracegen" "$lpgen" "$exdir"' EXIT
@@ -451,8 +449,8 @@ echo "== binary16 smoke (cold log2 / exp2 --verify) =="
 b16dir=$(mktemp -d) && b16out=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
-       "$shardout" "$genjson" "$tracecold" "$tracewarm" "$tracenone" \
+       "$serve1" "$serveN" "$servestats" "$servebench" \
+       "$shardout" "$genjson" "$lpjson" "$tracecold" "$tracewarm" "$tracenone" \
        "$excold" "$exwarm" "$b16out"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir" \
        "$tracegen" "$lpgen" "$exdir" "$b16dir"' EXIT
